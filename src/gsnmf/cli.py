@@ -376,7 +376,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"gsnmf {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, RuntimeError) as exc:
+    except NumericalError as exc:
         print(f"gsnmf {args.command}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     print(summary)

@@ -97,10 +97,27 @@ class VariationalState:
         return V, I, C, T
 
 
+def _at_sweep(sweep: int | None) -> str:
+    return "" if sweep is None else f" at sweep {sweep}"
+
+
 def _check_finite(name: str, arr: np.ndarray, sweep: int | None):
     if not np.all(np.isfinite(arr)):
-        where = "" if sweep is None else f" at sweep {sweep}"
-        raise NumericalError(f"non-finite values in {name}{where}")
+        raise NumericalError(f"non-finite values in {name}{_at_sweep(sweep)}")
+
+
+_Reconstruction = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _reconstruction(state: VariationalState) -> _Reconstruction:
+    """exp(L_t), exp(L_v) and their floored product, the Poisson-mixing denominator.
+
+    Both the bound of a state and the next sweep from it need exactly these
+    arrays, so the fit loop computes them once per state.
+    """
+    exp_lt = np.exp(state.L_t)
+    exp_lv = np.exp(state.L_v)
+    return exp_lt, exp_lv, np.maximum(exp_lt @ exp_lv, _DENOM_FLOOR)
 
 
 def init_state(
@@ -162,20 +179,22 @@ def update_sweep(
     hyper: Hyperparameters,
     groups: GroupAssignment,
     sweep: int | None = None,
+    reconstruction: _Reconstruction | None = None,
 ) -> VariationalState:
     """One full coordinate-ascent sweep; returns a fresh state.
 
     Cells of the data with value 0 contribute zero counts (their mixing
     ratio is defined as 0); reconstruction denominators are floored at a
-    tiny positive value everywhere else.
+    tiny positive value everywhere else. ``reconstruction`` may carry
+    ``_reconstruction(state)`` when the caller already computed it.
     """
     X = data
-    exp_lt = np.exp(state.L_t)
-    exp_lv = np.exp(state.L_v)
+    if reconstruction is None:
+        reconstruction = _reconstruction(state)
+    exp_lt, exp_lv, denom = reconstruction
 
     # Count allocation: expected per-feature counts under the current
     # multinomial posterior, contracted over samples resp. dimensions.
-    denom = np.maximum(exp_lt @ exp_lv, _DENOM_FLOOR)
     xi = np.where(X > 0.0, X / denom, 0.0)
     Sigma_v = exp_lv * (exp_lt.T @ xi)
     Sigma_t = exp_lt * (xi @ exp_lv.T)
@@ -240,9 +259,47 @@ def update_sweep(
     )
 
 
+@dataclass(frozen=True)
+class _BoundConstants:
+    """Bound terms that depend only on the data and the hyperparameters.
+
+    ``dictionary`` and ``rate`` are the gamma prior normalizers
+    -sum(A log B + log-gamma(A)) of T and of the rate indicators; ``group``
+    is the Dirichlet prior normalizer of the latent mode (0 when observed).
+    """
+
+    lgamma_counts: float
+    dictionary: float
+    rate: float
+    group: float
+
+
+def _bound_constants(
+    data: np.ndarray,
+    hyper: Hyperparameters,
+    groups: GroupAssignment,
+    lgamma_counts_sum: float | None = None,
+) -> _BoundConstants:
+    if lgamma_counts_sum is None:
+        lgamma_counts_sum = float(np.sum(log_gamma(data + 1.0)))
+    group = 0.0
+    if not groups.observed:
+        group = float(np.sum(log_gamma(hyper.U.sum(axis=1))) - np.sum(log_gamma(hyper.U)))
+    return _BoundConstants(
+        lgamma_counts=lgamma_counts_sum,
+        dictionary=-float(np.sum(hyper.A_t * np.log(hyper.B_t) + log_gamma(hyper.A_t))),
+        rate=-float(np.sum(hyper.A_lambda * np.log(hyper.B_lambda) + log_gamma(hyper.A_lambda))),
+        group=group,
+    )
+
+
 def _gamma_cross_entropy_terms(A, B, alpha, beta, E, L):
-    """Sum of prior cross terms and entropy for one gamma factor block."""
-    prior = -E / B + (A - 1.0) * L - A * np.log(B) - log_gamma(A)
+    """Sum of prior cross terms and entropy for one gamma factor block.
+
+    The prior normalizer, which depends on A and B only, is left to
+    ``_bound_constants``.
+    """
+    prior = -E / B + (A - 1.0) * L
     entropy = -(alpha - 1.0) * L + alpha * np.log(beta) + alpha + log_gamma(alpha)
     return float(np.sum(prior + entropy))
 
@@ -253,6 +310,9 @@ def variational_bound(
     hyper: Hyperparameters,
     groups: GroupAssignment,
     lgamma_counts_sum: float | None = None,
+    sweep: int | None = None,
+    constants: _BoundConstants | None = None,
+    reconstruction: _Reconstruction | None = None,
 ) -> float:
     """Evidence lower bound of the current factorized posterior.
 
@@ -260,27 +320,30 @@ def variational_bound(
     consecutive post-sweep evaluations sit at the same point of the update
     cycle and the returned trace is non-decreasing. ``lgamma_counts_sum``
     may carry the precomputed sum of log-gamma(X + 1) since it never changes
-    across sweeps.
+    across sweeps; ``constants`` may carry ``_bound_constants`` (all the
+    terms that never change across sweeps) and ``reconstruction`` may carry
+    ``_reconstruction(state)``. ``sweep`` only names the sweep in errors.
     """
     X = data
-    exp_lt = np.exp(state.L_t)
-    exp_lv = np.exp(state.L_v)
-    denom = np.maximum(exp_lt @ exp_lv, _DENOM_FLOOR)
-    if lgamma_counts_sum is None:
-        lgamma_counts_sum = float(np.sum(log_gamma(X + 1.0)))
+    if constants is None:
+        constants = _bound_constants(X, hyper, groups, lgamma_counts_sum)
+    if reconstruction is None:
+        reconstruction = _reconstruction(state)
+    denom = reconstruction[2]
+    at = _at_sweep(sweep)
     mixing = (
         float(np.sum(np.where(X > 0.0, X * np.log(denom), 0.0)))
         - float(state.E_t.sum(axis=0) @ state.E_v.sum(axis=1))
-        - lgamma_counts_sum
+        - constants.lgamma_counts
     )
     if not np.isfinite(mixing):
-        raise NumericalError("non-finite bound contribution from the mixing terms")
+        raise NumericalError(f"non-finite bound contribution from the mixing terms{at}")
 
-    t_terms = _gamma_cross_entropy_terms(
+    t_terms = constants.dictionary + _gamma_cross_entropy_terms(
         hyper.A_t, hyper.B_t, state.alpha_t, state.beta_t, state.E_t, state.L_t
     )
     if not np.isfinite(t_terms):
-        raise NumericalError("non-finite bound contribution from the dictionary terms")
+        raise NumericalError(f"non-finite bound contribution from the dictionary terms{at}")
 
     rate = state.E_lambda @ state.Delta.T
     log_rate = state.L_lambda @ state.Delta.T
@@ -295,9 +358,9 @@ def variational_bound(
     )
     v_terms = v_prior + v_entropy
     if not np.isfinite(v_terms):
-        raise NumericalError("non-finite bound contribution from the coefficient terms")
+        raise NumericalError(f"non-finite bound contribution from the coefficient terms{at}")
 
-    lambda_terms = _gamma_cross_entropy_terms(
+    lambda_terms = constants.rate + _gamma_cross_entropy_terms(
         hyper.A_lambda,
         hyper.B_lambda,
         state.alpha_lambda,
@@ -306,7 +369,7 @@ def variational_bound(
         state.L_lambda,
     )
     if not np.isfinite(lambda_terms):
-        raise NumericalError("non-finite bound contribution from the rate-indicator terms")
+        raise NumericalError(f"non-finite bound contribution from the rate-indicator terms{at}")
 
     total = mixing + t_terms + v_terms + lambda_terms
 
@@ -316,13 +379,13 @@ def variational_bound(
             np.sum(np.where(delta > 0.0, delta * np.log(np.maximum(delta, _DENOM_FLOOR)), 0.0))
         )
         Y = hyper.U + delta
-        pi_terms = float(
+        pi_terms = constants.group + float(
             np.sum((hyper.U - Y) * state.Pi)
-            + np.sum(log_gamma(hyper.U.sum(axis=1)) - log_gamma(Y.sum(axis=1)))
-            + np.sum(log_gamma(Y) - log_gamma(hyper.U))
+            - np.sum(log_gamma(Y.sum(axis=1)))
+            + np.sum(log_gamma(Y))
         )
         if not np.isfinite(z_terms) or not np.isfinite(pi_terms):
-            raise NumericalError("non-finite bound contribution from the group terms")
+            raise NumericalError(f"non-finite bound contribution from the group terms{at}")
         total += z_terms + pi_terms
 
     return float(total)
@@ -359,14 +422,26 @@ def fit(
     if X.shape != (V, T):
         raise ValueError(f"data shape {X.shape} does not match hyperparameters {(V, T)}")
     state = init_state(hyper, groups, seed=config.seed)
-    lgamma_counts = float(np.sum(log_gamma(X + 1.0)))
+    constants = _bound_constants(X, hyper, groups)
     trace: list[tuple[int, float]] = []
     converged = False
     previous = None
+    # The reconstruction of the state just bounded, handed on to the next sweep.
+    reconstruction = None
     for sweep in range(1, config.max_sweeps + 1):
-        state = update_sweep(state, X, hyper, groups, sweep=sweep)
+        state = update_sweep(state, X, hyper, groups, sweep=sweep, reconstruction=reconstruction)
+        reconstruction = None
         if sweep % config.compute_bound_every == 0 or sweep == config.max_sweeps:
-            bound = variational_bound(state, X, hyper, groups, lgamma_counts_sum=lgamma_counts)
+            reconstruction = _reconstruction(state)
+            bound = variational_bound(
+                state,
+                X,
+                hyper,
+                groups,
+                sweep=sweep,
+                constants=constants,
+                reconstruction=reconstruction,
+            )
             trace.append((sweep, bound))
             if (
                 config.bound_tol > 0.0

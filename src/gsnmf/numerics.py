@@ -2,8 +2,11 @@
 
 Everything here is a pure function of its arguments: no state, no sampling,
 safe to call from any thread. ``digamma`` and ``log_gamma`` are implemented
-natively (upward recurrence to x >= 8, then an asymptotic tail) so the test
-suite can certify them against a slow high-precision oracle.
+natively so the test suite can certify them against a slow high-precision
+oracle: every argument below 8 is shifted up by exactly 8 recurrence steps
+(one sum of 8 reciprocals, or one log of a product of 8 factors, over only
+the shifted entries, as in Bernardo's psi algorithm, AS 103, 1976), then
+the asymptotic tail is evaluated at the shifted argument.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ __all__ = [
     "dirichlet_expected_log",
 ]
 
-_RECURRENCE_CUTOFF = 8.0
+# Entries below _SHIFT are moved up by exactly _SHIFT recurrence steps, so
+# the asymptotic tails below only ever see arguments >= 8.
+_SHIFT = 8
+_SHIFT_STEPS = np.arange(_SHIFT - 1.0, -1.0, -1.0)[:, None]
 _HALF_LOG_TWO_PI = 0.5 * np.log(2.0 * np.pi)
 
 # B_{2n} / (2n (2n-1)) for the Stirling tail of log-gamma, n = 1..7.
@@ -52,14 +58,18 @@ def _as_positive_array(x, name: str) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
-def _kahan_add(total, comp, term):
-    # Compensated accumulation; the recurrence terms 1/x can dominate the
-    # final value near the lower end of the domain, so plain summation would
-    # eat most of the 1e-12 budget.
-    y = term - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+def _shift_small(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raise every entry of the flat array z below the cutoff by exactly 8.
+
+    Returns the shifted copy, the indices of the shifted entries and their
+    (8, n_small) block of recurrence arguments z + k, k = 7..0. Entries at
+    or above the cutoff take no part in the block.
+    """
+    small = np.flatnonzero(z < _SHIFT)
+    block = z[small] + _SHIFT_STEPS
+    shifted = z.copy()
+    shifted[small] += _SHIFT
+    return shifted, small, block
 
 
 def log_gamma(x):
@@ -68,22 +78,20 @@ def log_gamma(x):
     Accepts scalars or arrays; raises ValueError off the domain.
     """
     arr, scalar = _as_positive_array(x, "log_gamma")
-    z = arr.astype(float).ravel().copy()
-    shift = np.zeros_like(z)
-    comp = np.zeros_like(z)
-    small = z < _RECURRENCE_CUTOFF
-    while small.any():
-        term = np.where(small, np.log(z, where=small, out=np.zeros_like(z)), 0.0)
-        shift, comp = _kahan_add(shift, comp, term)
-        z = np.where(small, z + 1.0, z)
-        small = z < _RECURRENCE_CUTOFF
+    z, small, block = _shift_small(arr.ravel())
     # Horner evaluation of the Stirling tail in powers of 1/z^2, times 1/z.
-    r = 1.0 / (z * z)
-    tail = np.zeros_like(z)
-    for coeff in reversed(_LOG_GAMMA_TAIL[1:]):
-        tail = (tail + coeff) * r
-    tail = (tail + _LOG_GAMMA_TAIL[0]) / z
-    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_TWO_PI + tail - shift
+    # Squaring 1/z (not z) keeps huge arguments free of overflow.
+    inv = 1.0 / z
+    r = inv * inv
+    tail = _LOG_GAMMA_TAIL[-1] * r
+    for coeff in reversed(_LOG_GAMMA_TAIL[1:-1]):
+        tail += coeff
+        tail *= r
+    tail += _LOG_GAMMA_TAIL[0]
+    tail *= inv
+    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_TWO_PI + tail
+    # log Gamma(x) = log Gamma(x + 8) - log(x (x + 1) ... (x + 7)).
+    out[small] -= np.log(np.prod(block, axis=0))
     out = out.reshape(arr.shape)
     return float(out) if scalar else out
 
@@ -91,21 +99,19 @@ def log_gamma(x):
 def digamma(x):
     """Logarithmic derivative of the gamma function for x > 0."""
     arr, scalar = _as_positive_array(x, "digamma")
-    z = arr.astype(float).ravel().copy()
-    shift = np.zeros_like(z)
-    comp = np.zeros_like(z)
-    small = z < _RECURRENCE_CUTOFF
-    while small.any():
-        term = np.where(small, np.reciprocal(z, where=small, out=np.zeros_like(z)), 0.0)
-        shift, comp = _kahan_add(shift, comp, term)
-        z = np.where(small, z + 1.0, z)
-        small = z < _RECURRENCE_CUTOFF
-    r = 1.0 / (z * z)
-    tail = np.zeros_like(z)
-    for coeff in reversed(_DIGAMMA_TAIL[1:]):
-        tail = (tail + coeff) * r
-    tail = (tail + _DIGAMMA_TAIL[0]) * r
-    out = np.log(z) - 0.5 / z - tail - shift
+    z, small, block = _shift_small(arr.ravel())
+    inv = 1.0 / z
+    r = inv * inv
+    tail = _DIGAMMA_TAIL[-1] * r
+    for coeff in reversed(_DIGAMMA_TAIL[1:-1]):
+        tail += coeff
+        tail *= r
+    tail += _DIGAMMA_TAIL[0]
+    tail *= r
+    out = np.log(z) - 0.5 * inv - tail
+    # psi(x) = psi(x + 8) - (1/x + 1/(x + 1) + ... + 1/(x + 7)); the
+    # dominant 1/x sits in the last row, so it enters the sum last.
+    out[small] -= np.reciprocal(block).sum(axis=0)
     out = out.reshape(arr.shape)
     return float(out) if scalar else out
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import FitConfig, fit
+from .engine import FitConfig, NumericalError, fit
 from .model import (
     DEFAULT_A_LARGE,
     DEFAULT_A_SMALL,
@@ -185,7 +185,9 @@ def evaluate(dataset: LabeledDataset, hyper_builder: HyperBuilder, config: CvCon
     Per run x fold x restart: fit on the training columns with labels as
     groups, project the held-out columns onto the fitted dictionary, and
     classify them against the training coefficients. Seeds are pre-assigned
-    per cell, so the result does not depend on execution order.
+    per cell, so the result does not depend on execution order. A
+    ``NumericalError`` is re-raised with the cell (run, fold, restart) in
+    its message; every other exception keeps its own type.
     """
     X = dataset.data
     y = dataset.labels
@@ -217,9 +219,9 @@ def evaluate(dataset: LabeledDataset, hyper_builder: HyperBuilder, config: CvCon
                         groups,
                         replace(config.fit, seed=cell_seed, compute_bound_every=every),
                     )
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"fit failed at run {r}, fold {f}, restart {k}"
+                except NumericalError as exc:
+                    raise NumericalError(
+                        f"fit failed at run {r}, fold {f}, restart {k}: {exc}"
                     ) from exc
                 train_features = result.state.E_v
                 test_features = project_matrix(result.state.E_t, X[:, test_idx])

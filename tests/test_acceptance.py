@@ -96,6 +96,7 @@ def sweep_harness():
     }
 
 
+@pytest.mark.slow
 def test_criterion_01_bound_monotonicity(sweep_harness):
     ok = sweep_harness["worst_drop"] <= 1e-9
     report(
@@ -141,6 +142,7 @@ def test_criterion_02_bound_below_quadrature_evidence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_03_count_conservation(sweep_harness):
     ok = sweep_harness["worst_conservation"] <= 1e-10
     report(
@@ -151,6 +153,7 @@ def test_criterion_03_count_conservation(sweep_harness):
     )
 
 
+@pytest.mark.slow
 def test_criterion_04_conjugate_update_structure(sweep_harness):
     report(
         4,
@@ -180,6 +183,7 @@ def test_criterion_05_special_functions_vs_oracle():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_nnls_optimality():
     rng = np.random.default_rng(31)
     worst_kkt = 0.0

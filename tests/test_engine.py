@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -332,6 +334,40 @@ def test_bound_reports_offending_term_group():
     state.E_t[0, 0] = np.nan
     with pytest.raises(NumericalError, match="mixing"):
         variational_bound(state, X, hyper, groups)
+
+
+def test_bound_error_names_the_sweep():
+    X, hyper, groups = small_problem()
+    state = init_state(hyper, groups, seed=0)
+    state = update_sweep(state, X, hyper, groups)
+    state.beta_lambda[0, 0] = np.nan
+    with pytest.raises(NumericalError, match="rate-indicator terms at sweep 7"):
+        variational_bound(state, X, hyper, groups, sweep=7)
+
+
+@pytest.mark.parametrize("mode", ["observed", "latent"])
+def test_bound_evaluation_has_no_side_effect_on_the_fit(mode):
+    X, hyper, groups = small_problem(seed=9)
+    if mode == "latent":
+        groups = GroupAssignment.latent(hyper.dims[2])
+    every = fit(X, hyper, groups, FitConfig(max_sweeps=30, seed=4, compute_bound_every=1))
+    once = fit(X, hyper, groups, FitConfig(max_sweeps=30, seed=4, compute_bound_every=30))
+    assert len(every.bound_trace) == 30 and len(once.bound_trace) == 1
+    for f in dataclasses.fields(every.state):
+        np.testing.assert_array_equal(
+            getattr(every.state, f.name), getattr(once.state, f.name), err_msg=f.name
+        )
+    assert every.final_bound == once.final_bound
+
+
+@pytest.mark.parametrize("mode", ["observed", "latent"])
+def test_fit_trace_matches_a_bound_computed_from_scratch(mode):
+    X, hyper, groups = small_problem(seed=10)
+    if mode == "latent":
+        groups = GroupAssignment.latent(hyper.dims[2])
+    result = fit(X, hyper, groups, FitConfig(max_sweeps=25, seed=2))
+    fresh = variational_bound(result.state, X, hyper, groups)
+    assert result.final_bound == pytest.approx(fresh, rel=1e-12)
 
 
 def test_fit_validates_data_shape():

@@ -50,6 +50,58 @@ def test_matches_high_precision_oracle_on_sample():
         assert abs(log_gamma(float(x)) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def assert_matches_oracle(xs):
+    # Error relative to max(1, |reference|), as criterion 05 measures
+    # log-gamma; near 0 and at the top of the range |digamma| is huge.
+    dg = digamma(xs)
+    lg = log_gamma(xs)
+    for x, d_val, l_val in zip(xs, dg, lg):
+        ref_d = reference_digamma(float(x))
+        ref_l = reference_log_gamma(float(x))
+        assert abs(d_val - ref_d) <= 1e-12 * max(1.0, abs(ref_d)), x
+        assert abs(l_val - ref_l) <= 1e-12 * max(1.0, abs(ref_l)), x
+
+
+def test_oracle_at_the_shift_cutoff():
+    # The entries just below 8 take the 8-step shift, 8 itself does not.
+    assert_matches_oracle(np.array([np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, np.inf)]))
+
+
+def test_oracle_at_the_extremes_of_the_domain():
+    rng = np.random.default_rng(77)
+    tiny = np.exp(rng.uniform(np.log(1e-300), np.log(1e-3), size=200))
+    huge = np.exp(rng.uniform(np.log(1e6), np.log(1e300), size=200))
+    assert_matches_oracle(np.concatenate([tiny, [1e-300, 1e-3]]))
+    assert_matches_oracle(np.concatenate([huge, [1e6, 1e300]]))
+
+
+def test_mixed_array_matches_elementwise_scalar_calls():
+    rng = np.random.default_rng(5)
+    xs = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(7, 11)))
+    xs[0, :3] = [np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, np.inf)]
+    assert (xs < 8.0).any() and (xs >= 8.0).any()
+    # numpy reduces the 8 shift terms of a lone entry pairwise and those of
+    # several entries row by row, so the two paths may differ by a few ulps.
+    tol = 4.0 * np.finfo(float).eps
+    for fn in (digamma, log_gamma):
+        expected = np.array([fn(float(x)) for x in xs.ravel()]).reshape(xs.shape)
+        got = fn(xs)
+        assert got.shape == xs.shape
+        assert (np.abs(got - expected) <= tol * np.maximum(1.0, np.abs(expected))).all()
+
+
+def test_shapes_are_preserved():
+    for fn in (digamma, log_gamma):
+        scalar = fn(np.array(3.5))
+        assert isinstance(scalar, float)
+        assert scalar == fn(3.5)
+        assert fn(np.empty((0, 3))).shape == (0, 3)
+        grid = np.array([[0.5, 9.0, 2.0], [100.0, 7.5, 1e-2]])
+        out = fn(grid)
+        assert out.shape == (2, 3)
+        np.testing.assert_array_equal(out[1], fn(grid[1]))
+
+
 @settings(max_examples=200)
 @given(st.floats(min_value=1e-3, max_value=1e6))
 def test_digamma_recurrence(x):

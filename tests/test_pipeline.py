@@ -146,6 +146,31 @@ def test_evaluate_is_deterministic(planted_dataset):
     np.testing.assert_array_equal(r1.per_fold, r2.per_fold)
 
 
+def test_evaluate_keeps_the_type_of_a_bad_input_error(planted_dataset):
+    ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
+    settings = PriorSettings(per_group=1, a_small=1.0, a_large=16.0, b_lambda=1.0)
+    # A dictionary prior one row short of the data: a data error, not a
+    # numerical failure.
+    builder = settings.builder(ds.data.shape[0] - 1, ds.n_classes)
+    with pytest.raises(ValueError, match="does not match"):
+        evaluate(ds, builder, quick_cv(folds=3, runs=1, restarts=1, sweeps=5))
+
+
+def test_evaluate_names_the_cell_of_a_numerical_failure(planted_dataset, monkeypatch):
+    from gsnmf import pipeline
+    from gsnmf.engine import NumericalError
+
+    def explode(*args, **kwargs):
+        raise NumericalError("non-finite values in E_t at sweep 3")
+
+    monkeypatch.setattr(pipeline, "fit", explode)
+    ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
+    settings = PriorSettings(per_group=1, a_small=1.0, a_large=16.0, b_lambda=1.0)
+    builder = settings.builder(ds.data.shape[0], ds.n_classes)
+    with pytest.raises(NumericalError, match="run 0, fold 0, restart 0: .*E_t at sweep 3"):
+        evaluate(ds, builder, quick_cv(folds=3, runs=1, restarts=1, sweeps=5))
+
+
 def test_report_accuracy_statistics_are_consistent(planted_dataset):
     ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
     settings = PriorSettings(per_group=1, a_small=1.0, a_large=4.0, b_lambda=1.0)
