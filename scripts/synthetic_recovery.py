@@ -57,7 +57,7 @@ def main():
     print(f"data: {V}x{T}, counts in [{X.min():.0f}, {X.max():.0f}], "
           f"{(X == 0).mean():.1%} zeros")
 
-    results, best = multi_restart_fit(
+    results = multi_restart_fit(
         X, hyper, groups,
         FitConfig(max_sweeps=args.sweeps, restarts=args.restarts,
                   seed=args.seed, compute_bound_every=args.sweeps),
@@ -65,7 +65,7 @@ def main():
     print("final bounds per restart:",
           " ".join(f"{r.final_bound:.1f}" for r in results))
 
-    state = results[best].state
+    state = results[0].state
     prevalence = group_prevalence(state.E_v, labels)
     diagonal = sum(
         prevalence[g, g * per_group:(g + 1) * per_group].sum() for g in range(C)

@@ -227,8 +227,8 @@ def _cmd_train(args) -> str:
         restarts=args.restarts,
         seed=args.seed,
     )
-    results, best = engine.multi_restart_fit(X, hyper, groups, config)
-    io.save_model(io.ModelArchive.from_fit(hyper, groups, results[best]), args.out)
+    results = engine.multi_restart_fit(X, hyper, groups, config)
+    io.save_model(io.ModelArchive.from_fit(hyper, groups, results[0]), args.out)
     if args.bound_trace is not None:
         sweeps = [s for s, _ in results[0].bound_trace]
         columns = [sweeps] + [[b for _, b in r.bound_trace] for r in results]
@@ -240,7 +240,7 @@ def _cmd_train(args) -> str:
         os.replace(tmp, args.bound_trace)
     return (
         f"train: best of {args.restarts} restarts reached bound "
-        f"{results[best].final_bound:.6f} after {args.sweeps} sweeps -> {args.out}"
+        f"{results[0].final_bound:.6f} after {args.sweeps} sweeps -> {args.out}"
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import GroupAssignment, Hyperparameters, as_data_matrix
-from .numerics import digamma, log_gamma
+from .numerics import GammaFactor, dirichlet_expected_log, log_gamma
 
 __all__ = [
     "NumericalError",
@@ -64,37 +64,32 @@ class FitConfig:
 
 @dataclass
 class VariationalState:
-    """All factor expectations plus the gamma posterior parameters behind them.
+    """The factorized posterior after a sweep.
 
-    E_* are posterior means, L_* posterior log-means (always strictly below
-    log E_* by Jensen), Sigma_t / Sigma_v the count allocations summed over
-    samples / dimensions, Delta the (T, C) group responsibilities (exact
-    one-hot rows in observed mode) and Pi the expected log mixture weights.
+    t, v and lam are the gamma posteriors of the (V, I) dictionary, the
+    (I, T) coefficients and the (I, C) rate indicators; Sigma_t / Sigma_v
+    the count allocations summed over samples / dimensions, Delta the (T, C)
+    group responsibilities (exact one-hot rows in observed mode) and Pi the
+    expected log mixture weights.
     """
 
-    E_t: np.ndarray
-    L_t: np.ndarray
-    E_v: np.ndarray
-    L_v: np.ndarray
+    t: GammaFactor
+    v: GammaFactor
+    lam: GammaFactor
     Sigma_t: np.ndarray
     Sigma_v: np.ndarray
-    E_lambda: np.ndarray
-    L_lambda: np.ndarray
     Delta: np.ndarray
     Pi: np.ndarray
-    alpha_t: np.ndarray
-    beta_t: np.ndarray
-    alpha_v: np.ndarray
-    beta_v: np.ndarray
-    alpha_lambda: np.ndarray
-    beta_lambda: np.ndarray
 
     @property
-    def dims(self) -> tuple[int, int, int, int]:
-        V, I = self.E_t.shape
-        _, C = self.E_lambda.shape
-        _, T = self.E_v.shape
-        return V, I, C, T
+    def E_t(self) -> np.ndarray:
+        """Posterior mean of the dictionary."""
+        return self.t.mean
+
+    @property
+    def E_v(self) -> np.ndarray:
+        """Posterior mean of the coefficients."""
+        return self.v.mean
 
 
 def _at_sweep(sweep: int | None) -> str:
@@ -110,13 +105,13 @@ _Reconstruction = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _reconstruction(state: VariationalState) -> _Reconstruction:
-    """exp(L_t), exp(L_v) and their floored product, the Poisson-mixing denominator.
+    """exp of the t and v log-means and their floored product, the Poisson-mixing denominator.
 
     Both the bound of a state and the next sweep from it need exactly these
     arrays, so the fit loop computes them once per state.
     """
-    exp_lt = np.exp(state.L_t)
-    exp_lv = np.exp(state.L_v)
+    exp_lt = np.exp(state.t.log_mean)
+    exp_lv = np.exp(state.v.log_mean)
     return exp_lt, exp_lv, np.maximum(exp_lt @ exp_lv, _DENOM_FLOOR)
 
 
@@ -126,11 +121,14 @@ def init_state(
     dims: tuple[int, int, int, int] | None = None,
     seed: int = 0,
 ) -> VariationalState:
-    """Random starting point: prior means jittered by uniform [0.5, 1.5] noise.
+    """Random starting point: each gamma factor at its prior, scale jittered.
 
-    Log-means start at log(mean) - 0.1 so the Jensen gap holds from the
-    first sweep. Responsibilities start one-hot (observed) or uniform
-    (latent); expected log weights come from the Dirichlet prior rows.
+    The dictionary and the rate indicators start at their prior shape and
+    prior scale times uniform [0.5, 1.5] noise; the coefficients at shape 1
+    and that noise over their prior rate, the responsibility-weighted prior
+    mean of the rate indicators. Responsibilities start one-hot (observed)
+    or uniform (latent); expected log weights come from the Dirichlet prior
+    rows.
     """
     V, I, C, T = hyper.dims
     if dims is not None and tuple(dims) != (V, I, C, T):
@@ -146,30 +144,21 @@ def init_state(
     else:
         delta = np.full((T, C), 1.0 / C)
 
-    E_t = hyper.A_t * hyper.B_t * rng.uniform(0.5, 1.5, size=(V, I))
+    t = GammaFactor(hyper.A_t.copy(), hyper.B_t * rng.uniform(0.5, 1.5, size=(V, I)))
     prior_rate_v = (hyper.A_lambda * hyper.B_lambda) @ delta.T
-    E_v = rng.uniform(0.5, 1.5, size=(I, T)) / prior_rate_v
-    E_lambda = hyper.A_lambda * hyper.B_lambda * rng.uniform(0.5, 1.5, size=(I, C))
-
-    pi = digamma(hyper.U) - digamma(hyper.U.sum(axis=1))[:, None]
+    v = GammaFactor(np.ones((I, T)), rng.uniform(0.5, 1.5, size=(I, T)) / prior_rate_v)
+    lam = GammaFactor(
+        hyper.A_lambda.copy(), hyper.B_lambda * rng.uniform(0.5, 1.5, size=(I, C))
+    )
 
     return VariationalState(
-        E_t=E_t,
-        L_t=np.log(E_t) - 0.1,
-        E_v=E_v,
-        L_v=np.log(E_v) - 0.1,
+        t=t,
+        v=v,
+        lam=lam,
         Sigma_t=np.zeros((V, I)),
         Sigma_v=np.zeros((I, T)),
-        E_lambda=E_lambda,
-        L_lambda=np.log(E_lambda) - 0.1,
         Delta=delta,
-        Pi=pi,
-        alpha_t=hyper.A_t.copy(),
-        beta_t=E_t / hyper.A_t,
-        alpha_v=np.ones((I, T)),
-        beta_v=E_v.copy(),
-        alpha_lambda=hyper.A_lambda.copy(),
-        beta_lambda=E_lambda / hyper.A_lambda,
+        Pi=dirichlet_expected_log(hyper.U),
     )
 
 
@@ -202,60 +191,39 @@ def update_sweep(
     _check_finite("Sigma_t", Sigma_t, sweep)
 
     # Dictionary posterior (uses the pre-sweep coefficient means).
-    alpha_t = hyper.A_t + Sigma_t
-    beta_t = 1.0 / (1.0 / hyper.B_t + state.E_v.sum(axis=1)[None, :])
-    E_t = alpha_t * beta_t
-    L_t = digamma(alpha_t) + np.log(beta_t)
-    _check_finite("E_t", E_t, sweep)
+    t = GammaFactor(
+        hyper.A_t + Sigma_t, 1.0 / (1.0 / hyper.B_t + state.v.mean.sum(axis=1)[None, :])
+    )
+    _check_finite("E_t", t.mean, sweep)
 
     # Coefficient posterior (uses the fresh dictionary means and the current
     # responsibility-weighted rate indicators).
-    alpha_v = 1.0 + Sigma_v
-    rate_v = state.E_lambda @ state.Delta.T + E_t.sum(axis=0)[:, None]
-    beta_v = 1.0 / rate_v
-    E_v = alpha_v * beta_v
-    L_v = digamma(alpha_v) + np.log(beta_v)
-    _check_finite("E_v", E_v, sweep)
+    rate_v = state.lam.mean @ state.Delta.T + t.mean.sum(axis=0)[:, None]
+    v = GammaFactor(1.0 + Sigma_v, 1.0 / rate_v)
+    _check_finite("E_v", v.mean, sweep)
 
     # Rate-indicator posterior (uses the fresh coefficient means).
     counts = state.Delta.sum(axis=0)
-    alpha_lambda = hyper.A_lambda + counts[None, :]
-    beta_lambda = 1.0 / (1.0 / hyper.B_lambda + E_v @ state.Delta)
-    E_lambda = alpha_lambda * beta_lambda
-    L_lambda = digamma(alpha_lambda) + np.log(beta_lambda)
-    _check_finite("E_lambda", E_lambda, sweep)
+    lam = GammaFactor(
+        hyper.A_lambda + counts[None, :], 1.0 / (1.0 / hyper.B_lambda + v.mean @ state.Delta)
+    )
+    _check_finite("E_lambda", lam.mean, sweep)
 
     delta = state.Delta
     pi = state.Pi
     if not groups.observed:
         # Mean-field categorical update in log space, then the Dirichlet
         # update of the expected log mixture weights.
-        logits = pi - E_v.T @ E_lambda + L_lambda.sum(axis=0)[None, :]
+        logits = pi - v.mean.T @ lam.mean + lam.log_mean.sum(axis=0)[None, :]
         logits -= logits.max(axis=1, keepdims=True)
         delta = np.exp(logits)
         delta /= delta.sum(axis=1, keepdims=True)
         _check_finite("Delta", delta, sweep)
-        Y = hyper.U + delta
-        pi = digamma(Y) - digamma(Y.sum(axis=1))[:, None]
+        pi = dirichlet_expected_log(hyper.U + delta)
         _check_finite("Pi", pi, sweep)
 
     return VariationalState(
-        E_t=E_t,
-        L_t=L_t,
-        E_v=E_v,
-        L_v=L_v,
-        Sigma_t=Sigma_t,
-        Sigma_v=Sigma_v,
-        E_lambda=E_lambda,
-        L_lambda=L_lambda,
-        Delta=delta,
-        Pi=pi,
-        alpha_t=alpha_t,
-        beta_t=beta_t,
-        alpha_v=alpha_v,
-        beta_v=beta_v,
-        alpha_lambda=alpha_lambda,
-        beta_lambda=beta_lambda,
+        t=t, v=v, lam=lam, Sigma_t=Sigma_t, Sigma_v=Sigma_v, Delta=delta, Pi=pi
     )
 
 
@@ -293,17 +261,6 @@ def _bound_constants(
     )
 
 
-def _gamma_cross_entropy_terms(A, B, alpha, beta, E, L):
-    """Sum of prior cross terms and entropy for one gamma factor block.
-
-    The prior normalizer, which depends on A and B only, is left to
-    ``_bound_constants``.
-    """
-    prior = -E / B + (A - 1.0) * L
-    entropy = -(alpha - 1.0) * L + alpha * np.log(beta) + alpha + log_gamma(alpha)
-    return float(np.sum(prior + entropy))
-
-
 def variational_bound(
     state: VariationalState,
     data: np.ndarray,
@@ -331,42 +288,31 @@ def variational_bound(
         reconstruction = _reconstruction(state)
     denom = reconstruction[2]
     at = _at_sweep(sweep)
+    t, v, lam = state.t, state.v, state.lam
     mixing = (
         float(np.sum(np.where(X > 0.0, X * np.log(denom), 0.0)))
-        - float(state.E_t.sum(axis=0) @ state.E_v.sum(axis=1))
+        - float(t.mean.sum(axis=0) @ v.mean.sum(axis=1))
         - constants.lgamma_counts
     )
     if not np.isfinite(mixing):
         raise NumericalError(f"non-finite bound contribution from the mixing terms{at}")
 
-    t_terms = constants.dictionary + _gamma_cross_entropy_terms(
-        hyper.A_t, hyper.B_t, state.alpha_t, state.beta_t, state.E_t, state.L_t
+    # Gamma factors: prior cross terms plus entropy; the prior normalizers
+    # of T and of the rate indicators are in ``constants``.
+    t_terms = constants.dictionary + float(
+        np.sum(-t.mean / hyper.B_t + (hyper.A_t - 1.0) * t.log_mean + t.entropy())
     )
     if not np.isfinite(t_terms):
         raise NumericalError(f"non-finite bound contribution from the dictionary terms{at}")
 
-    rate = state.E_lambda @ state.Delta.T
-    log_rate = state.L_lambda @ state.Delta.T
-    v_prior = float(np.sum(log_rate - rate * state.E_v))
-    v_entropy = float(
-        np.sum(
-            -(state.alpha_v - 1.0) * state.L_v
-            + state.alpha_v * np.log(state.beta_v)
-            + state.alpha_v
-            + log_gamma(state.alpha_v)
-        )
-    )
-    v_terms = v_prior + v_entropy
+    rate = lam.mean @ state.Delta.T
+    log_rate = lam.log_mean @ state.Delta.T
+    v_terms = float(np.sum(log_rate - rate * v.mean)) + float(np.sum(v.entropy()))
     if not np.isfinite(v_terms):
         raise NumericalError(f"non-finite bound contribution from the coefficient terms{at}")
 
-    lambda_terms = constants.rate + _gamma_cross_entropy_terms(
-        hyper.A_lambda,
-        hyper.B_lambda,
-        state.alpha_lambda,
-        state.beta_lambda,
-        state.E_lambda,
-        state.L_lambda,
+    lambda_terms = constants.rate + float(
+        np.sum(-lam.mean / hyper.B_lambda + (hyper.A_lambda - 1.0) * lam.log_mean + lam.entropy())
     )
     if not np.isfinite(lambda_terms):
         raise NumericalError(f"non-finite bound contribution from the rate-indicator terms{at}")
@@ -459,16 +405,16 @@ def multi_restart_fit(
     hyper: Hyperparameters,
     groups: GroupAssignment,
     config: FitConfig,
-) -> tuple[list[FitResult], int]:
+) -> list[FitResult]:
     """Independent restarts with seeds derived from ``config.seed``.
 
-    Returns every restart, stably sorted by final bound (best first), plus
-    the index of the best-bound result. All restarts are retained because
-    the bound is not a proxy for downstream classification quality.
+    Returns every restart, stably sorted by final bound (best first). All
+    restarts are retained because the bound is not a proxy for downstream
+    classification quality.
     """
     seeds = np.random.SeedSequence(config.seed).generate_state(config.restarts)
     results = [
         fit(data, hyper, groups, replace(config, seed=int(s))) for s in seeds
     ]
     order = sorted(range(len(results)), key=lambda k: -results[k].final_bound)
-    return [results[k] for k in order], 0
+    return [results[k] for k in order]

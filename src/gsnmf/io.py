@@ -3,8 +3,13 @@ and grayscale heatmap export.
 
 Binary matrix files carry magic ``GSNM``, a version byte of 1, two
 little-endian uint64 shape fields, then the row-major float64 payload.
-Model archives carry magic ``GSNMA`` and embed the same matrix blocks.
-Both round-trip bitwise.
+Model archives carry magic ``GSNMA``, a version byte of 2, a fixed header
+(mode, seed, convergence flag, group count) and then the same matrix
+blocks: the group vector, five hyperparameter blocks, ten state blocks
+(alpha and beta of the dictionary, coefficient and rate-indicator gamma
+factors, then Sigma_t, Sigma_v, Delta, Pi) and the bound trace. Gamma
+means and log-means are rebuilt from (alpha, beta) on load. Both formats
+round-trip bitwise.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 
 from .engine import FitResult, VariationalState
 from .model import GroupAssignment, Hyperparameters
+from .numerics import GammaFactor
 
 __all__ = [
     "FormatError",
@@ -38,6 +44,9 @@ __all__ = [
 MATRIX_MAGIC = b"GSNM"
 ARCHIVE_MAGIC = b"GSNMA"
 FORMAT_VERSION = 1
+ARCHIVE_VERSION = 2
+# Version, observed flag, seed, converged flag, group count.
+_ARCHIVE_HEADER = struct.Struct("<BBqBQ")
 
 
 class FormatError(ValueError):
@@ -139,7 +148,6 @@ class ModelArchive:
     bound_trace: list[tuple[int, float]]
     seed: int
     converged: bool
-    version: int = FORMAT_VERSION
 
     @classmethod
     def from_fit(
@@ -155,24 +163,10 @@ class ModelArchive:
         )
 
 
-_STATE_FIELDS = (
-    "E_t",
-    "L_t",
-    "E_v",
-    "L_v",
-    "Sigma_t",
-    "Sigma_v",
-    "E_lambda",
-    "L_lambda",
-    "Delta",
-    "Pi",
-    "alpha_t",
-    "beta_t",
-    "alpha_v",
-    "beta_v",
-    "alpha_lambda",
-    "beta_lambda",
-)
+# Each gamma factor is stored as its alpha and beta blocks, in this order.
+_STATE_FACTORS = ("t", "v", "lam")
+_STATE_MATRICES = ("Sigma_t", "Sigma_v", "Delta", "Pi")
+_STATE_BLOCKS = 2 * len(_STATE_FACTORS) + len(_STATE_MATRICES)
 
 
 def save_model(archive: ModelArchive, path):
@@ -180,20 +174,22 @@ def save_model(archive: ModelArchive, path):
     h = archive.hyper
     parts = [
         ARCHIVE_MAGIC,
-        bytes([archive.version]),
-        struct.pack(
-            "<BqB",
+        _ARCHIVE_HEADER.pack(
+            ARCHIVE_VERSION,
             1 if archive.groups.observed else 0,
             int(archive.seed),
             1 if archive.converged else 0,
+            archive.groups.n_groups,
         ),
-        struct.pack("<Q", archive.groups.n_groups),
     ]
     z = archive.groups.z if archive.groups.observed else np.zeros(0, dtype=int)
     parts.append(_matrix_block(np.asarray(z, dtype=float).reshape(1, -1)))
     for m in (h.A_t, h.B_t, h.A_lambda, h.B_lambda, h.U):
         parts.append(_matrix_block(m))
-    for name in _STATE_FIELDS:
+    for name in _STATE_FACTORS:
+        factor = getattr(archive.state, name)
+        parts += [_matrix_block(factor.alpha), _matrix_block(factor.beta)]
+    for name in _STATE_MATRICES:
         parts.append(_matrix_block(getattr(archive.state, name)))
     trace = np.array(
         [(float(s), b) for s, b in archive.bound_trace], dtype=float
@@ -206,17 +202,16 @@ def load_model(path) -> ModelArchive:
     raw = Path(path).read_bytes()
     if not raw.startswith(ARCHIVE_MAGIC):
         raise FormatError(f"{path} is not a model archive")
-    if raw[len(ARCHIVE_MAGIC)] != FORMAT_VERSION:
-        raise FormatError(f"unsupported archive version {raw[len(ARCHIVE_MAGIC)]}")
+    offset = len(ARCHIVE_MAGIC)
+    if len(raw) < offset + _ARCHIVE_HEADER.size:
+        raise FormatError("truncated archive header")
+    version, observed, seed, converged, n_groups = _ARCHIVE_HEADER.unpack_from(raw, offset)
+    if version != ARCHIVE_VERSION:
+        raise FormatError(f"unsupported archive version {version}")
     buf = memoryview(raw)
-    offset = len(ARCHIVE_MAGIC) + 1
-    observed, seed, converged = struct.unpack_from("<BqB", buf, offset)
-    offset += struct.calcsize("<BqB")
-    (n_groups,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    z_matrix, offset = _read_matrix_block(buf, offset)
+    z_matrix, offset = _read_matrix_block(buf, offset + _ARCHIVE_HEADER.size)
     blocks = []
-    for _ in range(5 + len(_STATE_FIELDS) + 1):
+    for _ in range(5 + _STATE_BLOCKS + 1):
         block, offset = _read_matrix_block(buf, offset)
         blocks.append(block)
     if offset != len(raw):
@@ -227,7 +222,14 @@ def load_model(path) -> ModelArchive:
         groups = GroupAssignment(int(n_groups), z_matrix.ravel().astype(int))
     else:
         groups = GroupAssignment.latent(int(n_groups))
-    state = VariationalState(**dict(zip(_STATE_FIELDS, blocks[5:-1])))
+    state_blocks = iter(blocks[5:-1])
+    try:
+        factors = {
+            name: GammaFactor(next(state_blocks), next(state_blocks)) for name in _STATE_FACTORS
+        }
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad gamma factor shape block ({exc})") from exc
+    state = VariationalState(**factors, **dict(zip(_STATE_MATRICES, state_blocks)))
     trace = [(int(s), float(b)) for s, b in blocks[-1]]
     return ModelArchive(
         hyper=hyper,

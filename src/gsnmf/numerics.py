@@ -1,23 +1,25 @@
-"""Special functions and closed-form gamma/Dirichlet/multinomial expectations.
+"""Special functions, the gamma posterior factor and the Dirichlet expectation.
 
-Everything here is a pure function of its arguments: no state, no sampling,
-safe to call from any thread. ``digamma`` and ``log_gamma`` are implemented
-natively so the test suite can certify them against a slow high-precision
-oracle: every argument below 8 is shifted up by exactly 8 recurrence steps
-(one sum of 8 reciprocals, or one log of a product of 8 factors, over only
-the shifted entries, as in Bernardo's psi algorithm, AS 103, 1976), then
-the asymptotic tail is evaluated at the shifted argument.
+Everything here is pure (functions of their arguments and one immutable
+value class): no sampling, safe to call from any thread. ``digamma`` and
+``log_gamma`` are implemented natively so the test suite can certify them
+against a slow high-precision oracle: every argument below 8 is shifted
+up by exactly 8 recurrence steps (one sum of 8 reciprocals, or one log of
+a product of 8 factors, over only the shifted entries, as in Bernardo's
+psi algorithm, AS 103, 1976), then the asymptotic tail is evaluated at the
+shifted argument.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "log_gamma",
     "digamma",
-    "gamma_expectations",
-    "multinomial_expected_counts",
+    "GammaFactor",
     "dirichlet_expected_log",
 ]
 
@@ -116,46 +118,37 @@ def digamma(x):
     return float(out) if scalar else out
 
 
-def gamma_expectations(a, b):
-    """Mean, log-mean and entropy of Gamma(shape a, scale b).
+@dataclass(frozen=True, eq=False)
+class GammaFactor:
+    """Gamma(shape alpha, scale beta) posterior of one factor block.
 
-    Returns (a*b, digamma(a) + log b, -(a-1)*digamma(a) + log b + a + lgamma(a)).
-    The log-mean is always strictly below log(mean) (Jensen).
+    ``mean`` = alpha*beta and ``log_mean`` = E[log] = digamma(alpha) + log beta
+    are computed once, when the factor is built; ``log_mean`` is strictly
+    below log(mean) (Jensen). Only ``alpha`` is checked (by ``digamma``): a
+    non-finite scale passes through to the derived values.
     """
-    a_arr, scalar_a = _as_positive_array(a, "gamma shape")
-    b_arr, scalar_b = _as_positive_array(b, "gamma scale")
-    mean = a_arr * b_arr
-    psi_a = digamma(a_arr)
-    log_b = np.log(b_arr)
-    log_mean = psi_a + log_b
-    entropy = -(a_arr - 1.0) * psi_a + log_b + a_arr + log_gamma(a_arr)
-    if scalar_a and scalar_b:
-        return float(mean), float(log_mean), float(entropy)
-    return mean, log_mean, entropy
 
+    alpha: np.ndarray
+    beta: np.ndarray
+    mean: np.ndarray = field(init=False, repr=False)
+    log_mean: np.ndarray = field(init=False, repr=False)
 
-def multinomial_expected_counts(total, probs, tol: float = 1e-12):
-    """Expected per-cell counts total * probs of a multinomial draw.
+    def __post_init__(self):
+        object.__setattr__(self, "mean", self.alpha * self.beta)
+        object.__setattr__(self, "log_mean", digamma(self.alpha) + np.log(self.beta))
 
-    ``total`` may be any nonnegative real (counts are extended continuously).
-    ``probs`` must be nonnegative and sum to 1 within ``tol``; the output is
-    renormalized so it sums to ``total`` regardless of rounding in the input.
-    """
-    p = np.asarray(probs, dtype=float)
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-        raise ValueError("probabilities must be finite and >= 0")
-    s = p.sum()
-    if abs(s - 1.0) > tol:
-        raise ValueError(f"probabilities sum to {s!r}, expected 1 within {tol}")
-    total = float(total)
-    if total < 0.0 or not np.isfinite(total):
-        raise ValueError("total must be a finite nonnegative real")
-    return total * (p / s)
+    def entropy(self):
+        """Elementwise entropy -(a-1) E[log] + a log beta + a + log-gamma(a)."""
+        a = self.alpha
+        return -(a - 1.0) * self.log_mean + a * np.log(self.beta) + a + log_gamma(a)
 
 
 def dirichlet_expected_log(u):
-    """Expected log of a Dirichlet(u) variable: digamma(u_c) - digamma(sum u)."""
-    u_arr, _ = _as_positive_array(u, "dirichlet parameter")
-    if u_arr.ndim != 1:
-        raise ValueError("expected a 1-D parameter vector")
-    return digamma(u_arr) - digamma(float(u_arr.sum()))
+    """Expected log of a Dirichlet(u) variable: digamma(u_c) - digamma(sum u).
+
+    Reduces over the last axis, so a (T, C) array gives one row per Dirichlet.
+    """
+    u_arr, scalar = _as_positive_array(u, "dirichlet parameter")
+    if scalar:
+        raise ValueError("expected a parameter vector or rows of them")
+    return digamma(u_arr) - digamma(u_arr.sum(axis=-1, keepdims=True))

@@ -82,10 +82,10 @@ def sweep_harness():
                 if mode == "observed":
                     counts = state.Delta.sum(axis=0)
                     structure_ok = structure_ok and (
-                        np.array_equal(state.alpha_t, hyper.A_t + state.Sigma_t)
-                        and np.array_equal(state.alpha_v, 1.0 + state.Sigma_v)
+                        np.array_equal(state.t.alpha, hyper.A_t + state.Sigma_t)
+                        and np.array_equal(state.v.alpha, 1.0 + state.Sigma_v)
                         and np.array_equal(
-                            state.alpha_lambda, hyper.A_lambda + counts[None, :]
+                            state.lam.alpha, hyper.A_lambda + counts[None, :]
                         )
                     )
     return {
@@ -227,10 +227,10 @@ def test_criterion_07_group_structure_recovery(planted_dataset):
     C = planted_dataset["C"]
     per_group = planted_dataset["per_group"]
     groups = GroupAssignment(C, labels)
-    results, best = multi_restart_fit(
+    results = multi_restart_fit(
         X, hyper, groups, FitConfig(max_sweeps=300, restarts=10, seed=5, compute_bound_every=300)
     )
-    prevalence = group_prevalence(results[best].state.E_v, labels)
+    prevalence = group_prevalence(results[0].state.E_v, labels)
     diagonal = sum(
         prevalence[g, g * per_group : (g + 1) * per_group].sum() for g in range(C)
     )

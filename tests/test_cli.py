@@ -154,6 +154,15 @@ def test_data_error_exits_3(tmp_path):
     assert r.returncode == 3
 
 
+def test_truncated_archive_exits_3(tmp_path):
+    (tmp_path / "short.gsnm").write_bytes(b"GSNMA\x02")
+    (tmp_path / "x.csv").write_text("1,2\n3,4\n")
+    r = run_cli(["project", "--model", "short.gsnm", "--data", "x.csv", "--out", "y.csv"],
+                tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert "truncated archive header" in r.stderr
+
+
 def test_numerical_failure_exits_4(monkeypatch, capsys):
     from gsnmf import cli
     from gsnmf.engine import NumericalError

@@ -18,7 +18,7 @@ from gsnmf.model import (
     build_group_hyperprior,
     sample_model,
 )
-from gsnmf.numerics import dirichlet_expected_log
+from gsnmf.numerics import GammaFactor, dirichlet_expected_log
 from oracles import scalar_fixed_point
 
 
@@ -77,9 +77,9 @@ def test_init_state_deterministic_and_mode_dependent():
 def test_init_state_respects_jensen_offset():
     _, hyper, groups = small_problem()
     s = init_state(hyper, groups, seed=1)
-    assert (s.L_t < np.log(s.E_t)).all()
-    assert (s.L_v < np.log(s.E_v)).all()
-    assert (s.L_lambda < np.log(s.E_lambda)).all()
+    assert (s.t.log_mean < np.log(s.E_t)).all()
+    assert (s.v.log_mean < np.log(s.E_v)).all()
+    assert (s.lam.log_mean < np.log(s.lam.mean)).all()
 
 
 def test_bound_is_finite_on_fresh_states():
@@ -112,9 +112,9 @@ def test_zero_data_collapses_counts_to_prior():
     state = init_state(hyper, groups, seed=3)
     swept = update_sweep(state, X, hyper, groups)
     assert (swept.Sigma_t == 0.0).all() and (swept.Sigma_v == 0.0).all()
-    np.testing.assert_array_equal(swept.alpha_t, hyper.A_t)
+    np.testing.assert_array_equal(swept.t.alpha, hyper.A_t)
     expected_scale = 1.0 / (1.0 / hyper.B_t + state.E_v.sum(axis=1)[None, :])
-    np.testing.assert_array_equal(swept.beta_t, expected_scale)
+    np.testing.assert_array_equal(swept.t.beta, expected_scale)
 
 
 def test_posterior_shapes_match_conjugate_identities_bitwise():
@@ -122,10 +122,10 @@ def test_posterior_shapes_match_conjugate_identities_bitwise():
     state = init_state(hyper, groups, seed=4)
     for sweep in range(3):
         state = update_sweep(state, X, hyper, groups)
-        np.testing.assert_array_equal(state.alpha_t, hyper.A_t + state.Sigma_t)
-        np.testing.assert_array_equal(state.alpha_v, 1.0 + state.Sigma_v)
+        np.testing.assert_array_equal(state.t.alpha, hyper.A_t + state.Sigma_t)
+        np.testing.assert_array_equal(state.v.alpha, 1.0 + state.Sigma_v)
         counts = state.Delta.sum(axis=0)
-        np.testing.assert_array_equal(state.alpha_lambda, hyper.A_lambda + counts[None, :])
+        np.testing.assert_array_equal(state.lam.alpha, hyper.A_lambda + counts[None, :])
 
 
 def test_jensen_gap_strict_after_every_sweep():
@@ -133,9 +133,9 @@ def test_jensen_gap_strict_after_every_sweep():
     state = init_state(hyper, groups, seed=5)
     for _ in range(10):
         state = update_sweep(state, X, hyper, groups)
-        assert (state.L_t < np.log(state.E_t)).all()
-        assert (state.L_v < np.log(state.E_v)).all()
-        assert (state.L_lambda < np.log(state.E_lambda)).all()
+        assert (state.t.log_mean < np.log(state.E_t)).all()
+        assert (state.v.log_mean < np.log(state.E_v)).all()
+        assert (state.lam.log_mean < np.log(state.lam.mean)).all()
 
 
 def test_scalar_model_reaches_the_fixed_point():
@@ -148,7 +148,7 @@ def test_scalar_model_reaches_the_fixed_point():
     assert e_l == pytest.approx(2.0 / 3.0, abs=1e-10)
     assert result.state.E_t[0, 0] == pytest.approx(e_t, abs=1e-8)
     assert result.state.E_v[0, 0] == pytest.approx(e_v, abs=1e-8)
-    assert result.state.E_lambda[0, 0] == pytest.approx(e_l, abs=1e-8)
+    assert result.state.lam.mean[0, 0] == pytest.approx(e_l, abs=1e-8)
 
 
 def test_bound_invariant_under_feature_permutation():
@@ -166,18 +166,14 @@ def test_bound_invariant_under_feature_permutation():
         B_lambda=hyper.B_lambda[perm, :],
         U=hyper.U,
     )
-    import dataclasses
-
-    fields = {}
-    for f in dataclasses.fields(state):
-        m = getattr(state, f.name)
-        if f.name in ("E_t", "L_t", "Sigma_t", "alpha_t", "beta_t"):
-            fields[f.name] = m[:, perm]
-        elif f.name in ("Delta", "Pi"):
-            fields[f.name] = m
-        else:
-            fields[f.name] = m[perm, :]
-    permuted_state = dataclasses.replace(state, **fields)
+    permuted_state = dataclasses.replace(
+        state,
+        t=GammaFactor(state.t.alpha[:, perm], state.t.beta[:, perm]),
+        v=GammaFactor(state.v.alpha[perm, :], state.v.beta[perm, :]),
+        lam=GammaFactor(state.lam.alpha[perm, :], state.lam.beta[perm, :]),
+        Sigma_t=state.Sigma_t[:, perm],
+        Sigma_v=state.Sigma_v[perm, :],
+    )
     permuted = variational_bound(permuted_state, X, permuted_hyper, groups)
     assert permuted == pytest.approx(base, rel=1e-10)
 
@@ -241,17 +237,17 @@ def test_bound_tolerance_zero_never_stops_early():
 
 def test_multi_restart_contracts():
     X, hyper, groups = small_problem()
-    single, best = multi_restart_fit(X, hyper, groups, FitConfig(max_sweeps=10, restarts=1, seed=0))
-    assert len(single) == 1 and best == 0
+    single = multi_restart_fit(X, hyper, groups, FitConfig(max_sweeps=10, restarts=1, seed=0))
+    assert len(single) == 1
 
-    results, best = multi_restart_fit(X, hyper, groups, FitConfig(max_sweeps=10, restarts=10, seed=0))
-    assert len(results) == 10 and best == 0
+    results = multi_restart_fit(X, hyper, groups, FitConfig(max_sweeps=10, restarts=10, seed=0))
+    assert len(results) == 10
     seeds = {r.seed for r in results}
     assert len(seeds) == 10
     finals = [r.final_bound for r in results]
     assert finals == sorted(finals, reverse=True)
 
-    again, _ = multi_restart_fit(X, hyper, groups, FitConfig(max_sweeps=10, restarts=10, seed=0))
+    again = multi_restart_fit(X, hyper, groups, FitConfig(max_sweeps=10, restarts=10, seed=0))
     assert [r.seed for r in again] == [r.seed for r in results]
     assert [r.final_bound for r in again] == finals
 
@@ -281,7 +277,7 @@ def test_single_group_latent_matches_observed_bitwise():
     latent = fit(X, hyper, GroupAssignment.latent(1), FitConfig(max_sweeps=60, seed=7))
     np.testing.assert_array_equal(observed.state.E_t, latent.state.E_t)
     np.testing.assert_array_equal(observed.state.E_v, latent.state.E_v)
-    np.testing.assert_array_equal(observed.state.E_lambda, latent.state.E_lambda)
+    np.testing.assert_array_equal(observed.state.lam.mean, latent.state.lam.mean)
     np.testing.assert_array_equal(latent.state.Delta, np.ones((T, 1)))
 
 
@@ -322,7 +318,7 @@ def test_prior_scale_shift_leaves_reconstruction_quality_alone():
 def test_sweep_reports_offending_matrix_on_numerical_failure():
     X, hyper, groups = small_problem()
     state = init_state(hyper, groups, seed=0)
-    state.L_t[0, 0] = np.nan
+    state.t.log_mean[0, 0] = np.nan
     with pytest.raises(NumericalError, match="Sigma"):
         update_sweep(state, X, hyper, groups, sweep=7)
 
@@ -340,7 +336,7 @@ def test_bound_error_names_the_sweep():
     X, hyper, groups = small_problem()
     state = init_state(hyper, groups, seed=0)
     state = update_sweep(state, X, hyper, groups)
-    state.beta_lambda[0, 0] = np.nan
+    state.lam.beta[0, 0] = np.nan
     with pytest.raises(NumericalError, match="rate-indicator terms at sweep 7"):
         variational_bound(state, X, hyper, groups, sweep=7)
 
@@ -353,9 +349,16 @@ def test_bound_evaluation_has_no_side_effect_on_the_fit(mode):
     every = fit(X, hyper, groups, FitConfig(max_sweeps=30, seed=4, compute_bound_every=1))
     once = fit(X, hyper, groups, FitConfig(max_sweeps=30, seed=4, compute_bound_every=30))
     assert len(every.bound_trace) == 30 and len(once.bound_trace) == 1
-    for f in dataclasses.fields(every.state):
+    for name in ("t", "v", "lam"):
+        for attr in ("alpha", "beta", "mean", "log_mean"):
+            np.testing.assert_array_equal(
+                getattr(getattr(every.state, name), attr),
+                getattr(getattr(once.state, name), attr),
+                err_msg=f"{name}.{attr}",
+            )
+    for name in ("Sigma_t", "Sigma_v", "Delta", "Pi"):
         np.testing.assert_array_equal(
-            getattr(every.state, f.name), getattr(once.state, f.name), err_msg=f.name
+            getattr(every.state, name), getattr(once.state, name), err_msg=name
         )
     assert every.final_bound == once.final_bound
 

@@ -87,14 +87,64 @@ def test_model_archive_round_trip_bitwise(tmp_path):
         assert loaded.bound_trace == result.bound_trace
         for name in ("A_t", "B_t", "A_lambda", "B_lambda", "U"):
             np.testing.assert_array_equal(getattr(loaded.hyper, name), getattr(hyper, name))
-        for name in io._STATE_FIELDS:
+        for name in ("t", "v", "lam"):
+            for attr in ("alpha", "beta", "mean", "log_mean"):
+                np.testing.assert_array_equal(
+                    getattr(getattr(loaded.state, name), attr),
+                    getattr(getattr(result.state, name), attr),
+                    err_msg=f"{name}.{attr}",
+                )
+        for name in ("Sigma_t", "Sigma_v", "Delta", "Pi"):
             np.testing.assert_array_equal(
-                getattr(loaded.state, name), getattr(result.state, name)
+                getattr(loaded.state, name), getattr(result.state, name), err_msg=name
             )
         # byte-identical re-serialization
         second = tmp_path / "m2.gsnm"
         io.save_model(loaded, second)
         assert path.read_bytes() == second.read_bytes()
+
+
+def saved_archive(tmp_path):
+    hyper = default_hyperparameters(V=3, I=2, C=2, T=4)
+    groups = GroupAssignment(2, np.array([0, 1, 0, 1]))
+    result = fit(np.ones((3, 4)), hyper, groups, FitConfig(max_sweeps=2))
+    path = tmp_path / "m.gsnm"
+    io.save_model(io.ModelArchive.from_fit(hyper, groups, result), path)
+    return path
+
+
+def test_model_loader_rejects_version_1_archives(tmp_path):
+    path = saved_archive(tmp_path)
+    raw = bytearray(path.read_bytes())
+    assert raw[len(io.ARCHIVE_MAGIC)] == io.ARCHIVE_VERSION == 2
+    raw[len(io.ARCHIVE_MAGIC)] = 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(io.FormatError, match="unsupported archive version 1"):
+        io.load_model(path)
+
+
+def test_model_loader_rejects_a_nonpositive_gamma_shape(tmp_path):
+    hyper = default_hyperparameters(V=3, I=2, C=2, T=4)
+    groups = GroupAssignment(2, np.array([0, 1, 0, 1]))
+    result = fit(np.ones((3, 4)), hyper, groups, FitConfig(max_sweeps=2))
+    result.state.t.alpha[0, 0] = 0.0
+    path = tmp_path / "m.gsnm"
+    io.save_model(io.ModelArchive.from_fit(hyper, groups, result), path)
+    with pytest.raises(io.FormatError, match="gamma factor"):
+        io.load_model(path)
+
+
+def test_model_loader_rejects_every_truncation(tmp_path):
+    path = saved_archive(tmp_path)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.gsnm"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(io.FormatError):
+            io.load_model(cut)
+    cut.write_bytes(raw[:6])
+    with pytest.raises(io.FormatError, match="truncated archive header"):
+        io.load_model(cut)
 
 
 def test_matrix_loader_rejects_archives(tmp_path):

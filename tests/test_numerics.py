@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsnmf.numerics import (
+    GammaFactor,
     digamma,
     dirichlet_expected_log,
-    gamma_expectations,
     log_gamma,
-    multinomial_expected_counts,
 )
 from oracles import reference_digamma, reference_log_gamma
 
@@ -36,7 +35,7 @@ def test_domain_errors():
         with pytest.raises(ValueError):
             log_gamma(bad)
     with pytest.raises(ValueError):
-        gamma_expectations(-1.0, 2.0)
+        GammaFactor(-1.0, 2.0)
     with pytest.raises(ValueError):
         dirichlet_expected_log(np.array([1.0, 0.0]))
 
@@ -124,59 +123,37 @@ def test_log_gamma_recurrence(x):
     st.floats(min_value=1e-2, max_value=1e4),
 )
 def test_gamma_log_mean_strictly_below_log_of_mean(a, b):
-    mean, log_mean, _ = gamma_expectations(a, b)
-    assert log_mean < math.log(mean)
+    q = GammaFactor(a, b)
+    assert q.log_mean < math.log(q.mean)
 
 
 def test_gamma_expectations_values():
-    mean, log_mean, entropy = gamma_expectations(1.0, 1.0)
-    assert mean == pytest.approx(1.0)
-    assert log_mean == pytest.approx(digamma(1.0), abs=1e-13)
-    assert entropy == pytest.approx(1.0, abs=1e-13)
-    assert gamma_expectations(2.0, 3.0)[0] == pytest.approx(6.0)
+    q = GammaFactor(1.0, 1.0)
+    assert q.mean == pytest.approx(1.0)
+    assert q.log_mean == pytest.approx(digamma(1.0), abs=1e-13)
+    assert q.entropy() == pytest.approx(1.0, abs=1e-13)
+    assert GammaFactor(2.0, 3.0).mean == pytest.approx(6.0)
 
 
 def test_gamma_log_mean_shift_under_scale_doubling():
-    _, lm1, _ = gamma_expectations(3.7, 2.2)
-    _, lm2, _ = gamma_expectations(3.7, 4.4)
+    lm1 = GammaFactor(3.7, 2.2).log_mean
+    lm2 = GammaFactor(3.7, 4.4).log_mean
     assert lm2 - lm1 == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_gamma_expectations_vectorized():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[2.0, 2.0], [0.5, 1.0]])
-    mean, log_mean, entropy = gamma_expectations(a, b)
-    assert mean.shape == log_mean.shape == entropy.shape == (2, 2)
-    assert np.allclose(mean, a * b)
+    q = GammaFactor(a, b)
+    assert q.mean.shape == q.log_mean.shape == q.entropy().shape == (2, 2)
+    assert np.allclose(q.mean, a * b)
 
 
-def test_multinomial_expected_counts_examples():
-    np.testing.assert_allclose(multinomial_expected_counts(5.0, [0.2, 0.8]), [1.0, 4.0])
-    np.testing.assert_array_equal(multinomial_expected_counts(0.0, [0.3, 0.7]), [0.0, 0.0])
-    np.testing.assert_allclose(
-        multinomial_expected_counts(3.0, [1 / 3, 1 / 3, 1 / 3]), [1.0, 1.0, 1.0]
-    )
-
-
-def test_multinomial_expected_counts_rejects_bad_probs():
-    with pytest.raises(ValueError):
-        multinomial_expected_counts(1.0, [0.5, 0.6])
-    with pytest.raises(ValueError):
-        multinomial_expected_counts(1.0, [-0.1, 1.1])
-    with pytest.raises(ValueError):
-        multinomial_expected_counts(-1.0, [0.5, 0.5])
-
-
-@settings(max_examples=100)
-@given(
-    st.floats(min_value=0.0, max_value=1e6),
-    st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=10),
-)
-def test_multinomial_counts_nonnegative_and_sum(total, weights):
-    probs = np.array(weights) / np.sum(weights)
-    out = multinomial_expected_counts(total, probs)
-    assert (out >= 0.0).all()
-    assert out.sum() == pytest.approx(total, rel=1e-12, abs=1e-12)
+def test_gamma_factor_passes_a_non_finite_scale_through():
+    # No validation of the scale: the engine's finiteness checks must see it.
+    q = GammaFactor(np.array([2.0, 3.0]), np.array([1.0, np.nan]))
+    assert np.isfinite(q.mean[0]) and np.isnan(q.mean[1])
+    assert np.isfinite(q.log_mean[0]) and np.isnan(q.log_mean[1])
 
 
 def test_dirichlet_expected_log_examples():
@@ -187,6 +164,20 @@ def test_dirichlet_expected_log_examples():
     four = dirichlet_expected_log(np.ones(4))
     assert (four < 0.0).all()
     assert np.ptp(four) == 0.0
+    with pytest.raises(ValueError):
+        dirichlet_expected_log(2.0)
+
+
+def test_dirichlet_expected_log_reduces_rows_like_single_vectors():
+    # Not bitwise: digamma of a lone argument below 8 may differ by an ulp
+    # from the same argument among others (summation order of the shift).
+    rows = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 4.0]])
+    np.testing.assert_allclose(
+        dirichlet_expected_log(rows),
+        np.stack([dirichlet_expected_log(row) for row in rows]),
+        rtol=0.0,
+        atol=1e-14,
+    )
 
 
 @settings(max_examples=100)
