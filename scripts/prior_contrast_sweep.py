@@ -13,12 +13,9 @@ import numpy as np
 
 from gsnmf import (
     CvConfig,
-    FitConfig,
     GroupAssignment,
-    Hyperparameters,
     LabeledDataset,
     PriorSettings,
-    build_group_hyperprior,
     parameter_sweep,
     sample_model,
 )
@@ -40,16 +37,9 @@ def main():
 
     C, per_group = args.groups, args.per_group
     V, T = args.rows, args.samples
-    I = C * per_group
-    A_l, B_l = build_group_hyperprior(C, per_group, a_small=1.0,
-                                      a_large=args.generator_contrast, b=1.0)
-    hyper = Hyperparameters(
-        A_t=np.full((V, I), 0.6),
-        B_t=np.full((V, I), 20.0),
-        A_lambda=A_l,
-        B_lambda=B_l,
-        U=np.ones((T, C)),
-    )
+    generator = PriorSettings(per_group=per_group, a_small=1.0,
+                              a_large=args.generator_contrast, b_lambda=1.0)
+    hyper = generator.hyperparameters(V, C, T)
     labels = np.arange(T) % C
     X, _ = sample_model(hyper, GroupAssignment(C, labels), seed=args.seed)
     dataset = LabeledDataset(X, labels)
@@ -64,7 +54,7 @@ def main():
         runs=args.runs,
         restarts=args.restarts,
         seed=args.seed,
-        fit=FitConfig(max_sweeps=args.sweeps, restarts=1),
+        sweeps=args.sweeps,
     )
     best, reports = parameter_sweep(dataset, grid, config)
     print(f"{'a_large':>8}  {'max':>7}  {'mean':>7}  {'variance':>9}")

@@ -16,8 +16,7 @@ import numpy as np
 from gsnmf import (
     FitConfig,
     GroupAssignment,
-    Hyperparameters,
-    build_group_hyperprior,
+    PriorSettings,
     group_prevalence,
     multi_restart_fit,
     sample_model,
@@ -41,16 +40,8 @@ def main():
 
     C, per_group = args.groups, args.per_group
     V, T = args.rows, args.samples
-    I = C * per_group
-    A_l, B_l = build_group_hyperprior(C, per_group, a_small=1.0,
-                                      a_large=args.contrast, b=1.0)
-    hyper = Hyperparameters(
-        A_t=np.full((V, I), 0.6),
-        B_t=np.full((V, I), 20.0),
-        A_lambda=A_l,
-        B_lambda=B_l,
-        U=np.ones((T, C)),
-    )
+    planted = PriorSettings(per_group=per_group, a_small=1.0, a_large=args.contrast, b_lambda=1.0)
+    hyper = planted.hyperparameters(V, C, T)
     labels = np.arange(T) % C
     groups = GroupAssignment(C, labels)
     X, truth = sample_model(hyper, groups, seed=args.seed)

@@ -23,16 +23,15 @@ from .model import (
     GroundTruth,
     GroupAssignment,
     Hyperparameters,
+    PriorSettings,
     as_data_matrix,
     build_group_hyperprior,
-    default_hyperparameters,
     sample_model,
 )
 from .pipeline import (
     AccuracyReport,
     CvConfig,
     LabeledDataset,
-    PriorSettings,
     evaluate,
     group_prevalence,
     knn_cosine_classify,
@@ -56,7 +55,6 @@ __all__ = [
     "VariationalState",
     "as_data_matrix",
     "build_group_hyperprior",
-    "default_hyperparameters",
     "evaluate",
     "fit",
     "group_prevalence",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import engine, io, model, pipeline
 from .engine import FitConfig, NumericalError
-from .model import GroupAssignment, Hyperparameters, build_group_hyperprior
+from .model import GroupAssignment, PriorSettings
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -160,15 +160,15 @@ def _resolve_per_group(I: int, C: int, per_group: int | None) -> int:
     return per_group
 
 
-def _hyper_from_args(args, V: int, I: int, C: int, T: int) -> Hyperparameters:
-    per_group = _resolve_per_group(I, C, args.per_group)
-    A_l, B_l = build_group_hyperprior(C, per_group, args.a_small, args.a_large, args.b_lambda)
-    return Hyperparameters(
-        A_t=np.full((V, I), args.a_t),
-        B_t=np.full((V, I), args.b_t),
-        A_lambda=A_l,
-        B_lambda=B_l,
-        U=np.ones((T, C)),
+def _prior_from_args(args, per_group: int) -> PriorSettings:
+    return PriorSettings(
+        per_group=per_group,
+        a_small=args.a_small,
+        a_large=args.a_large,
+        b_lambda=args.b_lambda,
+        a_t=args.a_t,
+        b_t=args.b_t,
+        single_group=getattr(args, "single_group", False),
     )
 
 
@@ -181,7 +181,8 @@ def _write_json(payload, path):
 
 def _cmd_generate(args) -> str:
     V, I, C, T = _parse_dims(args.dims)
-    hyper = _hyper_from_args(args, V, I, C, T)
+    per_group = _resolve_per_group(I, C, args.per_group)
+    hyper = _prior_from_args(args, per_group).hyperparameters(V, C, T)
     z = np.arange(T) % C
     X, truth = model.sample_model(hyper, GroupAssignment(C, z), args.seed)
     truth_dir = Path(args.truth)
@@ -220,7 +221,8 @@ def _cmd_train(args) -> str:
             if C < 1:
                 raise DataError("--per-group exceeds --dict-size")
         groups = GroupAssignment.latent(C)
-    hyper = _hyper_from_args(args, V, I, C, T)
+    per_group = _resolve_per_group(I, C, args.per_group)
+    hyper = _prior_from_args(args, per_group).hyperparameters(V, C, T)
     config = FitConfig(
         max_sweeps=args.sweeps,
         compute_bound_every=args.bound_every,
@@ -267,19 +269,13 @@ def _cmd_classify(args) -> str:
     return f"classify: wrote {predicted.size} predictions to {args.out}"
 
 
-def _evaluate_report(args, settings: pipeline.PriorSettings):
+def _load_cv(args) -> tuple[pipeline.LabeledDataset, pipeline.CvConfig]:
     X = model.as_data_matrix(io.load_matrix(args.data))
-    labels = _load_labels(args.labels)
-    dataset = pipeline.LabeledDataset(X, labels)
+    dataset = pipeline.LabeledDataset(X, _load_labels(args.labels))
     config = pipeline.CvConfig(
-        folds=args.folds,
-        runs=args.runs,
-        restarts=args.restarts,
-        seed=args.seed,
-        fit=FitConfig(max_sweeps=args.sweeps, restarts=1, seed=0),
+        folds=args.folds, runs=args.runs, restarts=args.restarts, seed=args.seed, sweeps=args.sweeps
     )
-    builder = settings.builder(X.shape[0], dataset.n_classes)
-    return pipeline.evaluate(dataset, builder, config)
+    return dataset, config
 
 
 def _report_payload(report: pipeline.AccuracyReport) -> dict:
@@ -292,16 +288,8 @@ def _report_payload(report: pipeline.AccuracyReport) -> dict:
 
 
 def _cmd_evaluate(args) -> str:
-    settings = pipeline.PriorSettings(
-        per_group=args.per_group,
-        a_small=args.a_small,
-        a_large=args.a_large,
-        b_lambda=args.b_lambda,
-        a_t=args.a_t,
-        b_t=args.b_t,
-        single_group=args.single_group,
-    )
-    report = _evaluate_report(args, settings)
+    dataset, config = _load_cv(args)
+    report = pipeline.evaluate(dataset, _prior_from_args(args, args.per_group), config)
     _write_json(_report_payload(report), args.report)
     return (
         f"evaluate: max {report.max_accuracy:.4f} mean {report.mean_accuracy:.4f} "
@@ -323,17 +311,8 @@ def _cmd_sweep(args) -> str:
     for entry in raw:
         if not isinstance(entry, dict) or not set(entry) <= _GRID_KEYS:
             raise DataError(f"bad grid entry {entry!r}; allowed keys: {sorted(_GRID_KEYS)}")
-        grid.append(pipeline.PriorSettings(**entry))
-    X = model.as_data_matrix(io.load_matrix(args.data))
-    labels = _load_labels(args.labels)
-    dataset = pipeline.LabeledDataset(X, labels)
-    config = pipeline.CvConfig(
-        folds=args.folds,
-        runs=args.runs,
-        restarts=args.restarts,
-        seed=args.seed,
-        fit=FitConfig(max_sweeps=args.sweeps, restarts=1, seed=0),
-    )
+        grid.append(PriorSettings(**entry))
+    dataset, config = _load_cv(args)
     best, reports = pipeline.parameter_sweep(dataset, grid, config)
     payload = {
         "best_index": best,

@@ -118,7 +118,6 @@ def _reconstruction(state: VariationalState) -> _Reconstruction:
 def init_state(
     hyper: Hyperparameters,
     groups: GroupAssignment,
-    dims: tuple[int, int, int, int] | None = None,
     seed: int = 0,
 ) -> VariationalState:
     """Random starting point: each gamma factor at its prior, scale jittered.
@@ -131,8 +130,6 @@ def init_state(
     rows.
     """
     V, I, C, T = hyper.dims
-    if dims is not None and tuple(dims) != (V, I, C, T):
-        raise ValueError(f"dims {dims} do not match hyperparameters {(V, I, C, T)}")
     if groups.n_groups != C:
         raise ValueError("group count does not match hyperparameters")
     if groups.observed and groups.z.size != T:

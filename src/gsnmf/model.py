@@ -16,9 +16,9 @@ __all__ = [
     "GroupAssignment",
     "Hyperparameters",
     "GroundTruth",
+    "PriorSettings",
     "as_data_matrix",
     "build_group_hyperprior",
-    "default_hyperparameters",
     "sample_model",
     "sample_poisson_mixing",
 ]
@@ -65,12 +65,6 @@ class GroupAssignment:
     @property
     def observed(self) -> bool:
         return self.z is not None
-
-    @classmethod
-    def from_labels(cls, labels) -> "GroupAssignment":
-        """Observed assignment with n_groups inferred as max(labels) + 1."""
-        z = np.asarray(labels, dtype=int)
-        return cls(n_groups=int(z.max()) + 1 if z.size else 1, z=z)
 
     @classmethod
     def latent(cls, n_groups: int) -> "GroupAssignment":
@@ -170,23 +164,42 @@ def build_group_hyperprior(
     return A, B
 
 
-def default_hyperparameters(V: int, I: int, C: int, T: int) -> Hyperparameters:
-    """Uniform gamma priors on the dictionary plus the default group prior.
+@dataclass(frozen=True)
+class PriorSettings:
+    """Settings of the label-driven prior; one point of a sweep grid.
 
-    Requires I to be divisible by C so the group blocks are equally sized.
+    ``hyperparameters`` is the one place that turns them into a model
+    prior: uniform gamma priors on the dictionary, the block group
+    hyperprior and a flat Dirichlet. With ``single_group`` the prior
+    collapses to one group of ``per_group`` features (the label-blind
+    baseline), where ``a_large`` plays no part.
     """
-    if min(V, I, C, T) < 1:
-        raise ValueError("all dimensions must be >= 1")
-    if I % C != 0:
-        raise ValueError(f"dictionary size {I} is not divisible by group count {C}")
-    A_lambda, B_lambda = build_group_hyperprior(C, I // C)
-    return Hyperparameters(
-        A_t=np.full((V, I), DEFAULT_A_T),
-        B_t=np.full((V, I), DEFAULT_B_T),
-        A_lambda=A_lambda,
-        B_lambda=B_lambda,
-        U=np.ones((T, C)),
-    )
+
+    per_group: int = 1
+    a_small: float = DEFAULT_A_SMALL
+    a_large: float = DEFAULT_A_LARGE
+    b_lambda: float = DEFAULT_B_LAMBDA
+    a_t: float = DEFAULT_A_T
+    b_t: float = DEFAULT_B_T
+    single_group: bool = False
+
+    def hyperparameters(self, n_rows: int, n_groups: int, n_samples: int) -> Hyperparameters:
+        """Prior for an (n_rows, n_samples) matrix whose samples fall in n_groups groups."""
+        if self.single_group:
+            n_groups, a_large = 1, self.a_small
+        else:
+            a_large = self.a_large
+        A_l, B_l = build_group_hyperprior(
+            n_groups, self.per_group, self.a_small, a_large, self.b_lambda
+        )
+        n_features = A_l.shape[0]
+        return Hyperparameters(
+            A_t=np.full((n_rows, n_features), self.a_t),
+            B_t=np.full((n_rows, n_features), self.b_t),
+            A_lambda=A_l,
+            B_lambda=B_l,
+            U=np.ones((n_samples, n_groups)),
+        )
 
 
 def sample_poisson_mixing(T_true: np.ndarray, V_true: np.ndarray, rng: np.random.Generator) -> np.ndarray:

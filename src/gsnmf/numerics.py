@@ -112,8 +112,12 @@ def digamma(x):
     tail *= r
     out = np.log(z) - 0.5 * inv - tail
     # psi(x) = psi(x + 8) - (1/x + 1/(x + 1) + ... + 1/(x + 7)); the
-    # dominant 1/x sits in the last row, so it enters the sum last.
-    out[small] -= np.reciprocal(block).sum(axis=0)
+    # dominant 1/x sits in the last row, so it enters the sum last. numpy
+    # sums the rows of an (8, n) block one by one, but the 8 terms of a lone
+    # entry pairwise; accumulate those one by one too, so an entry's result
+    # does not depend on what else is in the array.
+    recip = np.reciprocal(block)
+    out[small] -= np.add.accumulate(recip)[-1] if small.size == 1 else recip.sum(axis=0)
     out = out.reshape(arr.shape)
     return float(out) if scalar else out
 

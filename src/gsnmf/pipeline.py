@@ -2,32 +2,24 @@
 learned coefficient space, parameter sweeps, and per-label prevalence
 diagnostics.
 
-Labels double as the groups of the sparsity prior during fitting (identity
-map); the classifier itself never sees the prior. Train-time features are
-the posterior coefficient means of the fitted model, test-time features are
+Each fold's prior comes from ``PriorSettings.hyperparameters`` on the
+training columns, and the training labels double as the groups of the
+sparsity prior (identity map; one group for the label-blind baseline). The
+classifier itself never sees the prior. Train-time features are the
+posterior coefficient means of the fitted model, test-time features are
 nonnegative least-squares projections onto the fitted dictionary.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .engine import FitConfig, NumericalError, fit
-from .model import (
-    DEFAULT_A_LARGE,
-    DEFAULT_A_SMALL,
-    DEFAULT_A_T,
-    DEFAULT_B_LAMBDA,
-    DEFAULT_B_T,
-    GroupAssignment,
-    Hyperparameters,
-    as_data_matrix,
-    build_group_hyperprior,
-)
+from .model import GroupAssignment, PriorSettings, as_data_matrix
 from .projection import project_matrix
 
 __all__ = [
@@ -41,9 +33,6 @@ __all__ = [
     "parameter_sweep",
     "group_prevalence",
 ]
-
-HyperBuilder = Callable[[np.ndarray], tuple[Hyperparameters, GroupAssignment]]
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -76,19 +65,21 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class CvConfig:
-    """Crossvalidation protocol: runs x folds x restarts, seeded."""
+    """Crossvalidation protocol: runs x folds x restarts fits of ``sweeps``
+    sweeps each, seeded.
+    """
 
     folds: int = 10
     runs: int = 5
     restarts: int = 10
     seed: int = 0
-    fit: FitConfig = field(default_factory=FitConfig)
+    sweeps: int = 300
 
     def __post_init__(self):
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
-        if self.runs < 1 or self.restarts < 1:
-            raise ValueError("runs and restarts must be >= 1")
+        if self.runs < 1 or self.restarts < 1 or self.sweeps < 1:
+            raise ValueError("runs, restarts and sweeps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -139,13 +130,15 @@ def knn_cosine_classify(train_features, train_labels, test_features) -> np.ndarr
 def stratified_folds(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Disjoint, exhaustive folds preserving class proportions.
 
-    Classes with fewer samples than folds simply appear in fewer test
-    folds (with a warning); the partition stays valid. Deterministic per
-    seed.
+    Needs 2 <= folds <= n_samples, so every test fold is nonempty. Classes
+    with fewer samples than folds simply appear in fewer test folds (with a
+    warning); the partition stays valid. Deterministic per seed.
     """
     y = np.asarray(labels, dtype=int)
     if y.ndim != 1 or y.size == 0:
         raise ValueError("labels must form a nonempty vector")
+    if not 2 <= folds <= y.size:
+        raise ValueError(f"folds must lie in [2, {y.size}] for {y.size} samples, got {folds}")
     counts = np.bincount(y)
     if (counts == 0).any():
         raise ValueError("empty classes are not allowed")
@@ -179,13 +172,15 @@ def _cell_seeds(seed: int, runs: int, folds: int, restarts: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(n, dtype=np.uint32)
 
 
-def evaluate(dataset: LabeledDataset, hyper_builder: HyperBuilder, config: CvConfig) -> AccuracyReport:
+def evaluate(dataset: LabeledDataset, settings: PriorSettings, config: CvConfig) -> AccuracyReport:
     """Crossvalidated 1-NN accuracy of the label-driven factorization.
 
     Per run x fold x restart: fit on the training columns with labels as
-    groups, project the held-out columns onto the fitted dictionary, and
-    classify them against the training coefficients. Seeds are pre-assigned
-    per cell, so the result does not depend on execution order. A
+    groups (one group with ``settings.single_group``), project the held-out
+    columns onto the fitted dictionary, and classify them against the
+    training coefficients. The report never reads bound traces, so each fit
+    computes the bound once, at its last sweep. Seeds are pre-assigned per
+    cell, so the result does not depend on execution order. A
     ``NumericalError`` is re-raised with the cell (run, fold, restart) in
     its message; every other exception keeps its own type.
     """
@@ -193,32 +188,26 @@ def evaluate(dataset: LabeledDataset, hyper_builder: HyperBuilder, config: CvCon
     y = dataset.labels
     seeds = _cell_seeds(config.seed, config.runs, config.folds, config.restarts)
     acc = np.zeros((config.runs, config.folds, config.restarts))
-    subspace = None
     pos = 0
     for r in range(config.runs):
         partition_seed = int(seeds[pos])
         pos += 1
         folds = stratified_folds(y, config.folds, partition_seed)
         for f, (train_idx, test_idx) in enumerate(folds):
-            hyper, groups = hyper_builder(y[train_idx])
-            subspace = hyper.dims[1]
-            # The report never reads bound traces, so compute the bound only
-            # as often as early stopping demands.
-            every = (
-                config.fit.compute_bound_every
-                if config.fit.bound_tol > 0.0
-                else config.fit.max_sweeps
-            )
+            t = train_idx.size
+            hyper = settings.hyperparameters(X.shape[0], dataset.n_classes, t)
+            if settings.single_group:
+                groups = GroupAssignment(1, np.zeros(t, dtype=int))
+            else:
+                groups = GroupAssignment(dataset.n_classes, y[train_idx])
             for k in range(config.restarts):
                 cell_seed = int(seeds[pos])
                 pos += 1
+                cell_config = FitConfig(
+                    max_sweeps=config.sweeps, compute_bound_every=config.sweeps, seed=cell_seed
+                )
                 try:
-                    result = fit(
-                        X[:, train_idx],
-                        hyper,
-                        groups,
-                        replace(config.fit, seed=cell_seed, compute_bound_every=every),
-                    )
+                    result = fit(X[:, train_idx], hyper, groups, cell_config)
                 except NumericalError as exc:
                     raise NumericalError(
                         f"fit failed at run {r}, fold {f}, restart {k}: {exc}"
@@ -232,56 +221,8 @@ def evaluate(dataset: LabeledDataset, hyper_builder: HyperBuilder, config: CvCon
         mean_accuracy=float(acc.mean()),
         variance=float(acc.var()),
         per_fold=acc,
-        subspace_dimension=int(subspace),
+        subspace_dimension=hyper.dims[1],
     )
-
-
-@dataclass(frozen=True)
-class PriorSettings:
-    """One point of a hyperparameter grid for the label-driven prior."""
-
-    per_group: int = 1
-    a_small: float = DEFAULT_A_SMALL
-    a_large: float = DEFAULT_A_LARGE
-    b_lambda: float = DEFAULT_B_LAMBDA
-    a_t: float = DEFAULT_A_T
-    b_t: float = DEFAULT_B_T
-    single_group: bool = False
-
-    def subspace_dimension(self, n_classes: int) -> int:
-        return self.per_group * (1 if self.single_group else n_classes)
-
-    def builder(self, n_rows: int, n_classes: int) -> HyperBuilder:
-        """Hyperparameters + groups for a training subset's label vector.
-
-        With ``single_group`` the sparsity prior collapses to one group for
-        every sample (the label-blind baseline); classification still uses
-        the real labels.
-        """
-
-        def build(train_labels: np.ndarray) -> tuple[Hyperparameters, GroupAssignment]:
-            t = train_labels.size
-            if self.single_group:
-                groups = GroupAssignment(1, np.zeros(t, dtype=int))
-                A_l, B_l = build_group_hyperprior(
-                    1, self.per_group, self.a_small, self.a_small, self.b_lambda
-                )
-            else:
-                groups = GroupAssignment(n_classes, train_labels)
-                A_l, B_l = build_group_hyperprior(
-                    n_classes, self.per_group, self.a_small, self.a_large, self.b_lambda
-                )
-            n_features = A_l.shape[0]
-            hyper = Hyperparameters(
-                A_t=np.full((n_rows, n_features), self.a_t),
-                B_t=np.full((n_rows, n_features), self.b_t),
-                A_lambda=A_l,
-                B_lambda=B_l,
-                U=np.ones((t, A_l.shape[1])),
-            )
-            return hyper, groups
-
-        return build
 
 
 def parameter_sweep(
@@ -296,10 +237,7 @@ def parameter_sweep(
     """
     if not grid:
         raise ValueError("grid must be nonempty")
-    reports = []
-    for setting in grid:
-        builder = setting.builder(dataset.data.shape[0], dataset.n_classes)
-        reports.append(evaluate(dataset, builder, config))
+    reports = [evaluate(dataset, setting, config) for setting in grid]
     ranked = sorted(
         range(len(grid)),
         key=lambda k: (-reports[k].max_accuracy, reports[k].subspace_dimension, k),

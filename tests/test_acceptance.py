@@ -247,21 +247,12 @@ def test_criterion_07_group_structure_recovery(planted_dataset):
 
 def test_criterion_08_supervised_prior_does_not_hurt(planted_dataset):
     dataset = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
-    V = dataset.data.shape[0]
-    cv = CvConfig(folds=5, runs=1, restarts=3, seed=17, fit=FitConfig(max_sweeps=150, restarts=1))
+    cv = CvConfig(folds=5, runs=1, restarts=3, seed=17, sweeps=150)
     grouped = evaluate(
-        dataset,
-        PriorSettings(per_group=2, a_small=1.0, a_large=64.0, b_lambda=1.0).builder(
-            V, dataset.n_classes
-        ),
-        cv,
+        dataset, PriorSettings(per_group=2, a_small=1.0, a_large=64.0, b_lambda=1.0), cv
     )
     baseline = evaluate(
-        dataset,
-        PriorSettings(per_group=6, a_small=1.0, b_lambda=1.0, single_group=True).builder(
-            V, dataset.n_classes
-        ),
-        cv,
+        dataset, PriorSettings(per_group=6, a_small=1.0, b_lambda=1.0, single_group=True), cv
     )
     assert grouped.subspace_dimension == baseline.subspace_dimension
     ok = grouped.mean_accuracy >= baseline.mean_accuracy
@@ -336,10 +327,8 @@ def test_criterion_10_chance_level_with_permuted_labels(planted_dataset):
     chance = 1.0 / planted_dataset["C"]
     result = evaluate(
         dataset,
-        PriorSettings(per_group=2, a_small=1.0, a_large=64.0, b_lambda=1.0).builder(
-            dataset.data.shape[0], dataset.n_classes
-        ),
-        CvConfig(folds=5, runs=1, restarts=2, seed=23, fit=FitConfig(max_sweeps=100, restarts=1)),
+        PriorSettings(per_group=2, a_small=1.0, a_large=64.0, b_lambda=1.0),
+        CvConfig(folds=5, runs=1, restarts=2, seed=23, sweeps=100),
     )
     # 99% binomial interval with n = number of samples classified per pass;
     # repetitions across restarts are correlated, so this is the

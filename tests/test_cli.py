@@ -108,6 +108,43 @@ def test_evaluate_writes_report(workspace):
     assert 0.0 <= report["mean_accuracy"] <= report["max_accuracy"] <= 1.0
 
 
+def test_train_stores_the_prior_of_its_settings(workspace):
+    from gsnmf import PriorSettings
+
+    archive = io.load_model(workspace / "model.gsnm")
+    expected = PriorSettings(per_group=2, a_small=1.0, a_large=64.0, b_lambda=1.0).hyperparameters(
+        16, 2, 20
+    )
+    for name in ("A_t", "B_t", "A_lambda", "B_lambda", "U"):
+        np.testing.assert_array_equal(getattr(archive.hyper, name), getattr(expected, name))
+
+
+def test_evaluate_single_group_accepts_a_small_above_a_large(workspace):
+    r = run_cli(
+        ["evaluate", "--data", "X.bin", "--labels", "truth/z_true.bin",
+         "--folds", "4", "--runs", "1", "--restarts", "1", "--sweeps", "10",
+         "--per-group", "2", "--single-group", "--a-small", "300",
+         "--seed", "1", "--report", "report.json"],
+        workspace,
+    )
+    assert r.returncode == 0, r.stderr
+    report = json.loads((workspace / "report.json").read_text())
+    assert report["subspace_dimension"] == 2
+
+
+def test_more_folds_than_samples_exits_3(tmp_path):
+    io.save_matrix(np.ones((4, 6)), tmp_path / "X.bin", "binary")
+    io.save_matrix(np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]]), tmp_path / "y.bin", "binary")
+    (tmp_path / "grid.json").write_text(json.dumps([{"per_group": 1}]))
+    data = ["--data", "X.bin", "--labels", "y.bin", "--folds", "8", "--runs", "1",
+            "--restarts", "1", "--sweeps", "5", "--report", "report.json"]
+    for command in (["evaluate"], ["sweep", "--grid", "grid.json"]):
+        r = run_cli(command + data, tmp_path)
+        assert r.returncode == 3, r.stderr
+        assert "folds must lie in [2, 6]" in r.stderr
+        assert not (tmp_path / "report.json").exists()
+
+
 def test_sweep_selects_and_reports(workspace):
     (workspace / "grid.json").write_text(json.dumps([
         {"per_group": 2, "a_small": 1.0, "a_large": 1.0, "b_lambda": 1.0},

@@ -92,8 +92,6 @@ def test_bound_is_finite_on_fresh_states():
 def test_init_state_rejects_mismatched_dims():
     _, hyper, groups = small_problem()
     with pytest.raises(ValueError):
-        init_state(hyper, groups, dims=(12, 4, 2, 19), seed=0)
-    with pytest.raises(ValueError):
         init_state(hyper, GroupAssignment.latent(3), seed=0)
 
 

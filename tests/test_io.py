@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gsnmf import io
 from gsnmf.engine import FitConfig, fit
-from gsnmf.model import GroupAssignment, default_hyperparameters
+from gsnmf.model import GroupAssignment, PriorSettings
 
 
 @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -71,7 +71,7 @@ def test_binary_matrix_header_checks(tmp_path):
 
 
 def test_model_archive_round_trip_bitwise(tmp_path):
-    hyper = default_hyperparameters(V=6, I=4, C=2, T=10)
+    hyper = PriorSettings(per_group=2).hyperparameters(6, 2, 10)
     rng = np.random.default_rng(0)
     X = rng.integers(0, 6, size=(6, 10)).astype(float)
     for groups in (GroupAssignment(2, np.arange(10) % 2), GroupAssignment.latent(2)):
@@ -105,7 +105,7 @@ def test_model_archive_round_trip_bitwise(tmp_path):
 
 
 def saved_archive(tmp_path):
-    hyper = default_hyperparameters(V=3, I=2, C=2, T=4)
+    hyper = PriorSettings(per_group=1).hyperparameters(3, 2, 4)
     groups = GroupAssignment(2, np.array([0, 1, 0, 1]))
     result = fit(np.ones((3, 4)), hyper, groups, FitConfig(max_sweeps=2))
     path = tmp_path / "m.gsnm"
@@ -124,7 +124,7 @@ def test_model_loader_rejects_version_1_archives(tmp_path):
 
 
 def test_model_loader_rejects_a_nonpositive_gamma_shape(tmp_path):
-    hyper = default_hyperparameters(V=3, I=2, C=2, T=4)
+    hyper = PriorSettings(per_group=1).hyperparameters(3, 2, 4)
     groups = GroupAssignment(2, np.array([0, 1, 0, 1]))
     result = fit(np.ones((3, 4)), hyper, groups, FitConfig(max_sweeps=2))
     result.state.t.alpha[0, 0] = 0.0
@@ -148,7 +148,7 @@ def test_model_loader_rejects_every_truncation(tmp_path):
 
 
 def test_matrix_loader_rejects_archives(tmp_path):
-    hyper = default_hyperparameters(V=2, I=2, C=2, T=4)
+    hyper = PriorSettings(per_group=1).hyperparameters(2, 2, 4)
     groups = GroupAssignment(2, np.array([0, 1, 0, 1]))
     result = fit(np.ones((2, 4)), hyper, groups, FitConfig(max_sweeps=1))
     path = tmp_path / "m.gsnm"

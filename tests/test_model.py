@@ -5,8 +5,8 @@ from gsnmf.model import (
     GroupAssignment,
     Hyperparameters,
     as_data_matrix,
+    PriorSettings,
     build_group_hyperprior,
-    default_hyperparameters,
     sample_model,
     sample_poisson_mixing,
 )
@@ -47,7 +47,7 @@ def test_build_group_hyperprior_rejects_bad_inputs():
 
 
 def test_default_hyperparameters_shapes_and_values():
-    hyper = default_hyperparameters(V=4, I=6, C=3, T=10)
+    hyper = PriorSettings(per_group=2).hyperparameters(4, 3, 10)
     assert hyper.A_t.shape == (4, 6) and (hyper.A_t == 0.6).all()
     assert hyper.B_t.shape == (4, 6) and (hyper.B_t == 20.0).all()
     assert hyper.A_lambda.shape == (6, 3)
@@ -57,13 +57,13 @@ def test_default_hyperparameters_shapes_and_values():
 
 
 def test_default_hyperparameters_single_group_is_uniform():
-    hyper = default_hyperparameters(V=3, I=4, C=1, T=5)
+    hyper = PriorSettings(per_group=4).hyperparameters(3, 1, 5)
     assert hyper.A_lambda.shape == (4, 1)
     assert (hyper.A_lambda == 32.0).all()
 
 
 def test_default_hyperparameters_uniform_dirichlet_rows_are_flat():
-    hyper = default_hyperparameters(V=2, I=4, C=4, T=6)
+    hyper = PriorSettings(per_group=1).hyperparameters(2, 4, 6)
     for row in hyper.U:
         expected = dirichlet_expected_log(row)
         assert np.ptp(expected) == 0.0
@@ -72,7 +72,7 @@ def test_default_hyperparameters_uniform_dirichlet_rows_are_flat():
 def test_group_assignment_validation():
     with pytest.raises(ValueError):
         GroupAssignment(2, np.array([0, 2]))
-    ga = GroupAssignment.from_labels([0, 1, 1, 2])
+    ga = GroupAssignment(3, [0, 1, 1, 2])
     assert ga.n_groups == 3 and ga.observed
     delta = ga.one_hot()
     assert delta.shape == (4, 3)
@@ -117,7 +117,7 @@ def test_sampler_is_deterministic_per_seed():
 
 
 def test_sampler_output_is_nonnegative_integers():
-    hyper = default_hyperparameters(V=5, I=4, C=2, T=10)
+    hyper = PriorSettings(per_group=2).hyperparameters(5, 2, 10)
     groups = GroupAssignment(2, np.arange(10) % 2)
     X, truth = sample_model(hyper, groups, seed=1)
     assert (X >= 0).all()
@@ -201,7 +201,7 @@ def test_contrast_free_generator_plants_no_block_structure():
 
 
 def test_latent_mode_sampler_draws_groups():
-    hyper = default_hyperparameters(V=4, I=4, C=2, T=300)
+    hyper = PriorSettings(per_group=2).hyperparameters(4, 2, 300)
     X, truth = sample_model(hyper, GroupAssignment.latent(2), seed=8)
     assert set(np.unique(truth.z_true)) <= {0, 1}
     # flat Dirichlet prior: both groups should actually appear

@@ -79,14 +79,13 @@ def test_mixed_array_matches_elementwise_scalar_calls():
     xs = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=(7, 11)))
     xs[0, :3] = [np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, np.inf)]
     assert (xs < 8.0).any() and (xs >= 8.0).any()
-    # numpy reduces the 8 shift terms of a lone entry pairwise and those of
-    # several entries row by row, so the two paths may differ by a few ulps.
-    tol = 4.0 * np.finfo(float).eps
+    # The shift terms are added in one fixed order, so a lone entry and the
+    # same entry among others give the same bits.
     for fn in (digamma, log_gamma):
         expected = np.array([fn(float(x)) for x in xs.ravel()]).reshape(xs.shape)
         got = fn(xs)
         assert got.shape == xs.shape
-        assert (np.abs(got - expected) <= tol * np.maximum(1.0, np.abs(expected))).all()
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_shapes_are_preserved():
@@ -169,8 +168,8 @@ def test_dirichlet_expected_log_examples():
 
 
 def test_dirichlet_expected_log_reduces_rows_like_single_vectors():
-    # Not bitwise: digamma of a lone argument below 8 may differ by an ulp
-    # from the same argument among others (summation order of the shift).
+    # digamma adds its shift terms in one fixed order, so rows and single
+    # vectors agree.
     rows = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 4.0]])
     np.testing.assert_allclose(
         dirichlet_expected_log(rows),

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gsnmf.engine import FitConfig
 from gsnmf.pipeline import (
     CvConfig,
     LabeledDataset,
@@ -21,7 +20,7 @@ def quick_cv(folds=3, runs=1, restarts=2, sweeps=40, seed=0):
         runs=runs,
         restarts=restarts,
         seed=seed,
-        fit=FitConfig(max_sweeps=sweeps, restarts=1, seed=0),
+        sweeps=sweeps,
     )
 
 
@@ -106,6 +105,26 @@ def test_stratified_folds_rejects_empty_class():
         stratified_folds(np.array([0, 0, 2, 2]), 2, seed=0)
 
 
+def test_stratified_folds_reject_more_folds_than_samples():
+    labels = np.array([0, 0, 0, 1, 1, 1])
+    for folds in (1, 7, 8):
+        with pytest.raises(ValueError, match=r"folds must lie in \[2, 6\]"):
+            stratified_folds(labels, folds, seed=0)
+    ds = LabeledDataset(np.ones((3, 6)), labels)
+    with pytest.raises(ValueError, match="folds must lie in"):
+        evaluate(ds, PriorSettings(), quick_cv(folds=8, restarts=1, sweeps=5))
+
+
+def test_single_group_prior_ignores_a_large():
+    # a_small above the default a_large is valid when there is one group.
+    settings = PriorSettings(per_group=3, a_small=300.0, b_lambda=1.0, single_group=True)
+    hyper = settings.hyperparameters(5, 4, 10)
+    assert hyper.dims == (5, 3, 1, 10)
+    assert (hyper.A_lambda == 300.0).all() and (hyper.B_lambda == 1.0).all()
+    with pytest.raises(ValueError):
+        PriorSettings(per_group=3, a_small=300.0).hyperparameters(5, 4, 10)
+
+
 def test_labeled_dataset_validation():
     with pytest.raises(ValueError):
         LabeledDataset(np.ones((3, 4)), np.array([0, 1, 2, 3]))  # singleton classes
@@ -118,7 +137,7 @@ def test_labeled_dataset_validation():
 def test_evaluate_on_separable_data_is_perfect(planted_dataset):
     ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
     settings = PriorSettings(per_group=2, a_small=1.0, a_large=64.0, b_lambda=1.0)
-    report = evaluate(ds, settings.builder(ds.data.shape[0], ds.n_classes), quick_cv())
+    report = evaluate(ds, settings, quick_cv())
     assert report.max_accuracy == 1.0
     assert report.mean_accuracy == 1.0
     assert report.variance == 0.0
@@ -129,31 +148,30 @@ def test_evaluate_on_separable_data_is_perfect(planted_dataset):
 def test_evaluate_single_cell_makes_max_equal_mean(planted_dataset):
     ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
     settings = PriorSettings(per_group=1, a_small=1.0, a_large=16.0, b_lambda=1.0)
-    report = evaluate(
-        ds,
-        settings.builder(ds.data.shape[0], ds.n_classes),
-        quick_cv(folds=3, runs=1, restarts=1, sweeps=30),
-    )
+    report = evaluate(ds, settings, quick_cv(folds=3, runs=1, restarts=1, sweeps=30))
     assert report.max_accuracy == pytest.approx(report.mean_accuracy)
 
 
 def test_evaluate_is_deterministic(planted_dataset):
     ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
     settings = PriorSettings(per_group=2, a_small=1.0, a_large=64.0, b_lambda=1.0)
-    builder = settings.builder(ds.data.shape[0], ds.n_classes)
-    r1 = evaluate(ds, builder, quick_cv(seed=5))
-    r2 = evaluate(ds, builder, quick_cv(seed=5))
+    r1 = evaluate(ds, settings, quick_cv(seed=5))
+    r2 = evaluate(ds, settings, quick_cv(seed=5))
     np.testing.assert_array_equal(r1.per_fold, r2.per_fold)
 
 
-def test_evaluate_keeps_the_type_of_a_bad_input_error(planted_dataset):
+def test_evaluate_keeps_the_type_of_a_bad_input_error(planted_dataset, monkeypatch):
+    from gsnmf import pipeline
+
+    # A data error inside a fit stays a data error, not a numerical failure.
+    def reject(*args, **kwargs):
+        raise ValueError("data matrix does not match the hyperparameters")
+
+    monkeypatch.setattr(pipeline, "fit", reject)
     ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
     settings = PriorSettings(per_group=1, a_small=1.0, a_large=16.0, b_lambda=1.0)
-    # A dictionary prior one row short of the data: a data error, not a
-    # numerical failure.
-    builder = settings.builder(ds.data.shape[0] - 1, ds.n_classes)
     with pytest.raises(ValueError, match="does not match"):
-        evaluate(ds, builder, quick_cv(folds=3, runs=1, restarts=1, sweeps=5))
+        evaluate(ds, settings, quick_cv(folds=3, runs=1, restarts=1, sweeps=5))
 
 
 def test_evaluate_names_the_cell_of_a_numerical_failure(planted_dataset, monkeypatch):
@@ -166,19 +184,14 @@ def test_evaluate_names_the_cell_of_a_numerical_failure(planted_dataset, monkeyp
     monkeypatch.setattr(pipeline, "fit", explode)
     ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
     settings = PriorSettings(per_group=1, a_small=1.0, a_large=16.0, b_lambda=1.0)
-    builder = settings.builder(ds.data.shape[0], ds.n_classes)
     with pytest.raises(NumericalError, match="run 0, fold 0, restart 0: .*E_t at sweep 3"):
-        evaluate(ds, builder, quick_cv(folds=3, runs=1, restarts=1, sweeps=5))
+        evaluate(ds, settings, quick_cv(folds=3, runs=1, restarts=1, sweeps=5))
 
 
 def test_report_accuracy_statistics_are_consistent(planted_dataset):
     ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
     settings = PriorSettings(per_group=1, a_small=1.0, a_large=4.0, b_lambda=1.0)
-    report = evaluate(
-        ds,
-        settings.builder(ds.data.shape[0], ds.n_classes),
-        quick_cv(folds=3, runs=2, restarts=2, sweeps=20),
-    )
+    report = evaluate(ds, settings, quick_cv(folds=3, runs=2, restarts=2, sweeps=20))
     cells = report.per_fold
     assert report.max_accuracy >= report.mean_accuracy
     assert report.variance >= 0.0
