@@ -14,6 +14,7 @@ from .engine import (
     NumericalError,
     VariationalState,
     fit,
+    fit_restarts,
     init_state,
     multi_restart_fit,
     update_sweep,
@@ -57,6 +58,7 @@ __all__ = [
     "build_group_hyperprior",
     "evaluate",
     "fit",
+    "fit_restarts",
     "group_prevalence",
     "init_state",
     "knn_cosine_classify",

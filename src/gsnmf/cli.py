@@ -172,11 +172,14 @@ def _prior_from_args(args, per_group: int) -> PriorSettings:
     )
 
 
-def _write_json(payload, path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_text(text: str, path):
     tmp = Path(path).with_name(Path(path).name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _write_json(payload, path):
+    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
 
 
 def _cmd_generate(args) -> str:
@@ -237,9 +240,7 @@ def _cmd_train(args) -> str:
         lines = "\n".join(
             ",".join(f"{col[i]:.17g}" for col in columns) for i in range(len(sweeps))
         )
-        tmp = Path(args.bound_trace).with_name(Path(args.bound_trace).name + ".tmp")
-        tmp.write_text(lines + "\n")
-        os.replace(tmp, args.bound_trace)
+        _write_text(lines + "\n", args.bound_trace)
     return (
         f"train: best of {args.restarts} restarts reached bound "
         f"{results[0].final_bound:.6f} after {args.sweeps} sweeps -> {args.out}"
@@ -300,6 +301,19 @@ def _cmd_evaluate(args) -> str:
 _GRID_KEYS = {"per_group", "a_small", "a_large", "b_lambda", "a_t", "b_t", "single_group"}
 
 
+def _check_grid_value(key: str, value):
+    """Raise DataError unless a grid value has the JSON type its key needs."""
+    number = not isinstance(value, bool) and isinstance(value, (int, float))
+    if key == "single_group":
+        ok, kind = isinstance(value, bool), "true or false"
+    elif key == "per_group":
+        ok, kind = number and isinstance(value, int), "an integer"
+    else:
+        ok, kind = number and abs(value) <= sys.float_info.max, "a finite number"
+    if not ok:
+        raise DataError(f"grid key {key!r} must be {kind}, got {value!r}")
+
+
 def _cmd_sweep(args) -> str:
     try:
         raw = json.loads(Path(args.grid).read_text())
@@ -311,6 +325,8 @@ def _cmd_sweep(args) -> str:
     for entry in raw:
         if not isinstance(entry, dict) or not set(entry) <= _GRID_KEYS:
             raise DataError(f"bad grid entry {entry!r}; allowed keys: {sorted(_GRID_KEYS)}")
+        for key, value in entry.items():
+            _check_grid_value(key, value)
         grid.append(PriorSettings(**entry))
     dataset, config = _load_cv(args)
     best, reports = pipeline.parameter_sweep(dataset, grid, config)

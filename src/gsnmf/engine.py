@@ -6,11 +6,25 @@ the gamma posterior of the per-group rate indicators, and (latent mode
 only) the categorical group responsibilities and their Dirichlet weights.
 Each update uses the freshest values of the other factors, so the evidence
 lower bound is non-decreasing sweep over sweep.
+
+Restarts that share the data and the prior run as one batch: the arrays
+of a ``VariationalState`` that differ between restarts carry a leading
+restart axis ``(R, ...)``; the others (observed-mode ``Delta``, ``Pi`` and
+rate-indicator shapes) stay 2-D and shared. The sweep, the reconstruction
+and the bound use negative axes and ``np.swapaxes(., -1, -2)``, so one
+code path serves a single state and a batch. numpy's stacked matmul makes
+one BLAS call per restart and every reduction stays within a restart, so
+each restart is bitwise the fit of its own seed. Batching removes
+per-call overhead, which dominates at toy shapes, but its temporaries
+outgrow the cache at large ones. On a 2-vCPU host, batching was 2.7x
+faster than one restart at a time at 11.5k data cells (4 restarts, V=40,
+T=72), 1.1-2x at 60k-100k and 0.76-0.82x at 120k-160k (V=T=200), so a
+batch spans at most ``_BATCH_ELEMENTS`` cells (R·V·T).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +40,7 @@ __all__ = [
     "update_sweep",
     "variational_bound",
     "fit",
+    "fit_restarts",
     "multi_restart_fit",
 ]
 
@@ -33,9 +48,17 @@ __all__ = [
 # vanished reconstruction would otherwise divide to inf.
 _DENOM_FLOOR = 1e-300
 
+# Most data cells (restarts x V x T) that one batch of restarts may span.
+_BATCH_ELEMENTS = 100_000
+
 
 class NumericalError(RuntimeError):
-    """A sweep or bound evaluation produced non-finite values."""
+    """A sweep or bound evaluation produced non-finite values; ``restart``
+    is the index of the failing seed of a ``fit_restarts`` call (else 0)."""
+
+    def __init__(self, message: str, restart: int = 0):
+        super().__init__(message)
+        self.restart = restart
 
 
 @dataclass(frozen=True)
@@ -43,7 +66,7 @@ class FitConfig:
     """Knobs of the fit loop.
 
     ``bound_tol`` <= 0 disables early stopping (the default protocol runs a
-    fixed number of sweeps); when positive, the fit stops once the relative
+    fixed number of sweeps); when positive, a fit stops once the relative
     bound improvement between consecutive evaluations drops below it.
     """
 
@@ -70,7 +93,8 @@ class VariationalState:
     (I, T) coefficients and the (I, C) rate indicators; Sigma_t / Sigma_v
     the count allocations summed over samples / dimensions, Delta the (T, C)
     group responsibilities (exact one-hot rows in observed mode) and Pi the
-    expected log mixture weights.
+    expected log mixture weights. In a batch, arrays that differ between
+    restarts carry a leading restart axis; the rest stay 2-D and shared.
     """
 
     t: GammaFactor
@@ -92,13 +116,32 @@ class VariationalState:
         return self.v.mean
 
 
-def _at_sweep(sweep: int | None) -> str:
-    return "" if sweep is None else f" at sweep {sweep}"
+def _take(state: VariationalState, index) -> VariationalState:
+    """The restarts ``index`` selects (an integer drops the axis); 2-D arrays stay shared."""
+
+    def pick(a):
+        return a[index] if a.ndim > 2 else a
+
+    parts = {f.name: getattr(state, f.name) for f in fields(state)}
+    return VariationalState(**{
+        name: GammaFactor(pick(a.alpha), pick(a.beta)) if isinstance(a, GammaFactor) else pick(a)
+        for name, a in parts.items()
+    })
+
+
+def _require(ok, what: str, sweep: int | None):
+    """Raise ``NumericalError(what)`` naming the sweep and the first restart not ``ok``."""
+    if not np.all(ok):
+        at = "" if sweep is None else f" at sweep {sweep}"
+        raise NumericalError(f"{what}{at}", restart=int(np.argmin(np.ravel(ok))))
 
 
 def _check_finite(name: str, arr: np.ndarray, sweep: int | None):
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"non-finite values in {name}{_at_sweep(sweep)}")
+    _require(np.isfinite(arr).all(axis=(-2, -1)), f"non-finite values in {name}", sweep)
+
+
+def _check_terms(name: str, terms, sweep: int | None):
+    _require(np.isfinite(terms), f"non-finite bound contribution from the {name} terms", sweep)
 
 
 _Reconstruction = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -115,19 +158,15 @@ def _reconstruction(state: VariationalState) -> _Reconstruction:
     return exp_lt, exp_lv, np.maximum(exp_lt @ exp_lv, _DENOM_FLOOR)
 
 
-def init_state(
-    hyper: Hyperparameters,
-    groups: GroupAssignment,
-    seed: int = 0,
-) -> VariationalState:
-    """Random starting point: each gamma factor at its prior, scale jittered.
+def _init_states(hyper: Hyperparameters, groups: GroupAssignment, seeds) -> VariationalState:
+    """One starting point per seed, stacked on a leading restart axis.
 
-    The dictionary and the rate indicators start at their prior shape and
-    prior scale times uniform [0.5, 1.5] noise; the coefficients at shape 1
-    and that noise over their prior rate, the responsibility-weighted prior
-    mean of the rate indicators. Responsibilities start one-hot (observed)
-    or uniform (latent); expected log weights come from the Dirichlet prior
-    rows.
+    Each gamma factor starts at its prior shape: the dictionary and the rate
+    indicators at their prior scale times uniform [0.5, 1.5] noise, the
+    coefficients at shape 1 and that noise over their prior rate, the
+    responsibility-weighted prior mean of the rate indicators.
+    Responsibilities start one-hot (observed) or uniform (latent); expected
+    log weights come from the Dirichlet prior rows. Both are shared.
     """
     V, I, C, T = hyper.dims
     if groups.n_groups != C:
@@ -135,46 +174,44 @@ def init_state(
     if groups.observed and groups.z.size != T:
         raise ValueError("group vector length does not match hyperparameters")
 
-    rng = np.random.default_rng(seed)
-    if groups.observed:
-        delta = groups.one_hot(T)
-    else:
-        delta = np.full((T, C), 1.0 / C)
+    delta = groups.one_hot(T) if groups.observed else np.full((T, C), 1.0 / C)
 
-    t = GammaFactor(hyper.A_t.copy(), hyper.B_t * rng.uniform(0.5, 1.5, size=(V, I)))
-    prior_rate_v = (hyper.A_lambda * hyper.B_lambda) @ delta.T
-    v = GammaFactor(np.ones((I, T)), rng.uniform(0.5, 1.5, size=(I, T)) / prior_rate_v)
-    lam = GammaFactor(
-        hyper.A_lambda.copy(), hyper.B_lambda * rng.uniform(0.5, 1.5, size=(I, C))
+    # Each seed draws its noise for t, v and lam in that order.
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    u_t, u_v, u_lam = (
+        np.stack([rng.uniform(0.5, 1.5, size=shape) for rng in rngs])
+        for shape in ((V, I), (I, T), (I, C))
     )
+    t = GammaFactor(np.broadcast_to(hyper.A_t, u_t.shape).copy(), hyper.B_t * u_t)
+    prior_rate_v = (hyper.A_lambda * hyper.B_lambda) @ delta.T
+    v = GammaFactor(np.ones(u_v.shape), u_v / prior_rate_v)
+    lam = GammaFactor(np.broadcast_to(hyper.A_lambda, u_lam.shape).copy(), hyper.B_lambda * u_lam)
 
     return VariationalState(
-        t=t,
-        v=v,
-        lam=lam,
-        Sigma_t=np.zeros((V, I)),
-        Sigma_v=np.zeros((I, T)),
-        Delta=delta,
-        Pi=dirichlet_expected_log(hyper.U),
+        t, v, lam, np.zeros(u_t.shape), np.zeros(u_v.shape), delta, dirichlet_expected_log(hyper.U)
     )
 
 
-def update_sweep(
+def init_state(hyper: Hyperparameters, groups: GroupAssignment, seed: int = 0) -> VariationalState:
+    """Random starting point of one fit; see ``_init_states``."""
+    return _take(_init_states(hyper, groups, [seed]), 0)
+
+
+def _sweep(
     state: VariationalState,
-    data: np.ndarray,
+    X: np.ndarray,
     hyper: Hyperparameters,
     groups: GroupAssignment,
-    sweep: int | None = None,
+    sweep: int | None,
     reconstruction: _Reconstruction | None = None,
 ) -> VariationalState:
-    """One full coordinate-ascent sweep; returns a fresh state.
+    """One full coordinate-ascent sweep of a state or a batch; returns a fresh state.
 
     Cells of the data with value 0 contribute zero counts (their mixing
     ratio is defined as 0); reconstruction denominators are floored at a
     tiny positive value everywhere else. ``reconstruction`` may carry
     ``_reconstruction(state)`` when the caller already computed it.
     """
-    X = data
     if reconstruction is None:
         reconstruction = _reconstruction(state)
     exp_lt, exp_lv, denom = reconstruction
@@ -182,27 +219,29 @@ def update_sweep(
     # Count allocation: expected per-feature counts under the current
     # multinomial posterior, contracted over samples resp. dimensions.
     xi = np.where(X > 0.0, X / denom, 0.0)
-    Sigma_v = exp_lv * (exp_lt.T @ xi)
-    Sigma_t = exp_lt * (xi @ exp_lv.T)
+    Sigma_v = exp_lv * (np.swapaxes(exp_lt, -1, -2) @ xi)
+    Sigma_t = exp_lt * (xi @ np.swapaxes(exp_lv, -1, -2))
     _check_finite("Sigma_v", Sigma_v, sweep)
     _check_finite("Sigma_t", Sigma_t, sweep)
 
     # Dictionary posterior (uses the pre-sweep coefficient means).
     t = GammaFactor(
-        hyper.A_t + Sigma_t, 1.0 / (1.0 / hyper.B_t + state.v.mean.sum(axis=1)[None, :])
+        hyper.A_t + Sigma_t,
+        1.0 / (1.0 / hyper.B_t + state.v.mean.sum(axis=-1)[..., None, :]),
     )
     _check_finite("E_t", t.mean, sweep)
 
     # Coefficient posterior (uses the fresh dictionary means and the current
     # responsibility-weighted rate indicators).
-    rate_v = state.lam.mean @ state.Delta.T + t.mean.sum(axis=0)[:, None]
+    rate_v = state.lam.mean @ np.swapaxes(state.Delta, -1, -2) + t.mean.sum(axis=-2)[..., :, None]
     v = GammaFactor(1.0 + Sigma_v, 1.0 / rate_v)
     _check_finite("E_v", v.mean, sweep)
 
     # Rate-indicator posterior (uses the fresh coefficient means).
-    counts = state.Delta.sum(axis=0)
+    counts = state.Delta.sum(axis=-2)
     lam = GammaFactor(
-        hyper.A_lambda + counts[None, :], 1.0 / (1.0 / hyper.B_lambda + v.mean @ state.Delta)
+        hyper.A_lambda + counts[..., None, :],
+        1.0 / (1.0 / hyper.B_lambda + v.mean @ state.Delta),
     )
     _check_finite("E_lambda", lam.mean, sweep)
 
@@ -211,10 +250,12 @@ def update_sweep(
     if not groups.observed:
         # Mean-field categorical update in log space, then the Dirichlet
         # update of the expected log mixture weights.
-        logits = pi - v.mean.T @ lam.mean + lam.log_mean.sum(axis=0)[None, :]
-        logits -= logits.max(axis=1, keepdims=True)
+        logits = (
+            pi - np.swapaxes(v.mean, -1, -2) @ lam.mean + lam.log_mean.sum(axis=-2)[..., None, :]
+        )
+        logits -= logits.max(axis=-1, keepdims=True)
         delta = np.exp(logits)
-        delta /= delta.sum(axis=1, keepdims=True)
+        delta /= delta.sum(axis=-1, keepdims=True)
         _check_finite("Delta", delta, sweep)
         pi = dirichlet_expected_log(hyper.U + delta)
         _check_finite("Pi", pi, sweep)
@@ -222,6 +263,14 @@ def update_sweep(
     return VariationalState(
         t=t, v=v, lam=lam, Sigma_t=Sigma_t, Sigma_v=Sigma_v, Delta=delta, Pi=pi
     )
+
+
+def update_sweep(state, data, hyper, groups, sweep=None, reconstruction=None) -> VariationalState:
+    """One coordinate-ascent sweep of a single state; returns a fresh state.
+
+    The fit loop sweeps its batches of restarts through the same ``_sweep``.
+    """
+    return _sweep(state, data, hyper, groups, sweep, reconstruction)
 
 
 @dataclass(frozen=True)
@@ -239,19 +288,12 @@ class _BoundConstants:
     group: float
 
 
-def _bound_constants(
-    data: np.ndarray,
-    hyper: Hyperparameters,
-    groups: GroupAssignment,
-    lgamma_counts_sum: float | None = None,
-) -> _BoundConstants:
-    if lgamma_counts_sum is None:
-        lgamma_counts_sum = float(np.sum(log_gamma(data + 1.0)))
+def _bound_constants(data, hyper: Hyperparameters, groups: GroupAssignment) -> _BoundConstants:
     group = 0.0
     if not groups.observed:
         group = float(np.sum(log_gamma(hyper.U.sum(axis=1))) - np.sum(log_gamma(hyper.U)))
     return _BoundConstants(
-        lgamma_counts=lgamma_counts_sum,
+        lgamma_counts=float(np.sum(log_gamma(data + 1.0))),
         dictionary=-float(np.sum(hyper.A_t * np.log(hyper.B_t) + log_gamma(hyper.A_t))),
         rate=-float(np.sum(hyper.A_lambda * np.log(hyper.B_lambda) + log_gamma(hyper.A_lambda))),
         group=group,
@@ -263,75 +305,70 @@ def variational_bound(
     data: np.ndarray,
     hyper: Hyperparameters,
     groups: GroupAssignment,
-    lgamma_counts_sum: float | None = None,
     sweep: int | None = None,
     constants: _BoundConstants | None = None,
     reconstruction: _Reconstruction | None = None,
-) -> float:
+):
     """Evidence lower bound of the current factorized posterior.
 
-    The count-allocation factor is refreshed from the current log-means, so
+    A float for a single state, an (R,) array for a batch of restarts. The
+    count-allocation factor is refreshed from the current log-means, so
     consecutive post-sweep evaluations sit at the same point of the update
-    cycle and the returned trace is non-decreasing. ``lgamma_counts_sum``
-    may carry the precomputed sum of log-gamma(X + 1) since it never changes
-    across sweeps; ``constants`` may carry ``_bound_constants`` (all the
-    terms that never change across sweeps) and ``reconstruction`` may carry
-    ``_reconstruction(state)``. ``sweep`` only names the sweep in errors.
+    cycle and the returned trace is non-decreasing. ``constants`` may carry
+    ``_bound_constants`` (all the terms that never change across sweeps)
+    and ``reconstruction`` may carry ``_reconstruction(state)``. ``sweep``
+    only names the sweep in errors.
     """
     X = data
-    if constants is None:
-        constants = _bound_constants(X, hyper, groups, lgamma_counts_sum)
+    constants = constants or _bound_constants(X, hyper, groups)
     if reconstruction is None:
         reconstruction = _reconstruction(state)
     denom = reconstruction[2]
-    at = _at_sweep(sweep)
+    cells = (-2, -1)
     t, v, lam = state.t, state.v, state.lam
     mixing = (
-        float(np.sum(np.where(X > 0.0, X * np.log(denom), 0.0)))
-        - float(t.mean.sum(axis=0) @ v.mean.sum(axis=1))
+        np.sum(np.where(X > 0.0, X * np.log(denom), 0.0), axis=cells)
+        - (t.mean.sum(axis=-2)[..., None, :] @ v.mean.sum(axis=-1)[..., :, None])[..., 0, 0]
         - constants.lgamma_counts
     )
-    if not np.isfinite(mixing):
-        raise NumericalError(f"non-finite bound contribution from the mixing terms{at}")
+    _check_terms("mixing", mixing, sweep)
 
     # Gamma factors: prior cross terms plus entropy; the prior normalizers
     # of T and of the rate indicators are in ``constants``.
-    t_terms = constants.dictionary + float(
-        np.sum(-t.mean / hyper.B_t + (hyper.A_t - 1.0) * t.log_mean + t.entropy())
+    t_terms = constants.dictionary + np.sum(
+        -t.mean / hyper.B_t + (hyper.A_t - 1.0) * t.log_mean + t.entropy(), axis=cells
     )
-    if not np.isfinite(t_terms):
-        raise NumericalError(f"non-finite bound contribution from the dictionary terms{at}")
+    _check_terms("dictionary", t_terms, sweep)
 
-    rate = lam.mean @ state.Delta.T
-    log_rate = lam.log_mean @ state.Delta.T
-    v_terms = float(np.sum(log_rate - rate * v.mean)) + float(np.sum(v.entropy()))
-    if not np.isfinite(v_terms):
-        raise NumericalError(f"non-finite bound contribution from the coefficient terms{at}")
+    delta_t = np.swapaxes(state.Delta, -1, -2)
+    rate = lam.mean @ delta_t
+    log_rate = lam.log_mean @ delta_t
+    v_terms = np.sum(log_rate - rate * v.mean, axis=cells) + np.sum(v.entropy(), axis=cells)
+    _check_terms("coefficient", v_terms, sweep)
 
-    lambda_terms = constants.rate + float(
-        np.sum(-lam.mean / hyper.B_lambda + (hyper.A_lambda - 1.0) * lam.log_mean + lam.entropy())
+    lambda_terms = constants.rate + np.sum(
+        -lam.mean / hyper.B_lambda + (hyper.A_lambda - 1.0) * lam.log_mean + lam.entropy(),
+        axis=cells,
     )
-    if not np.isfinite(lambda_terms):
-        raise NumericalError(f"non-finite bound contribution from the rate-indicator terms{at}")
+    _check_terms("rate-indicator", lambda_terms, sweep)
 
     total = mixing + t_terms + v_terms + lambda_terms
 
     if not groups.observed:
         delta = state.Delta
-        z_terms = float(np.sum(delta * state.Pi)) - float(
-            np.sum(np.where(delta > 0.0, delta * np.log(np.maximum(delta, _DENOM_FLOOR)), 0.0))
+        z_terms = np.sum(delta * state.Pi, axis=cells) - np.sum(
+            np.where(delta > 0.0, delta * np.log(np.maximum(delta, _DENOM_FLOOR)), 0.0), axis=cells
         )
         Y = hyper.U + delta
-        pi_terms = constants.group + float(
-            np.sum((hyper.U - Y) * state.Pi)
-            - np.sum(log_gamma(Y.sum(axis=1)))
-            + np.sum(log_gamma(Y))
+        pi_terms = constants.group + (
+            np.sum((hyper.U - Y) * state.Pi, axis=cells)
+            - np.sum(log_gamma(Y.sum(axis=-1)), axis=-1)
+            + np.sum(log_gamma(Y), axis=cells)
         )
-        if not np.isfinite(z_terms) or not np.isfinite(pi_terms):
-            raise NumericalError(f"non-finite bound contribution from the group terms{at}")
-        total += z_terms + pi_terms
+        _check_terms("group", z_terms + pi_terms, sweep)
+        total = total + (z_terms + pi_terms)
 
-    return float(total)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 @dataclass(frozen=True)
@@ -348,61 +385,79 @@ class FitResult:
         return self.bound_trace[-1][1]
 
 
-def fit(
-    data,
-    hyper: Hyperparameters,
-    groups: GroupAssignment,
-    config: FitConfig,
-) -> FitResult:
-    """Run coordinate-ascent sweeps from a seeded random start.
+def _fit_batch(X, hyper, groups, config: FitConfig, seeds: list[int], constants) -> list[FitResult]:
+    """Sweep one batch of restarts together; a converged restart leaves the batch."""
+    state = _init_states(hyper, groups, seeds)
+    live = np.arange(len(seeds))  # the batch index of each restart still swept
+    finals, converged = [None] * len(seeds), [False] * len(seeds)
+    traces: list[list[tuple[int, float]]] = [[] for _ in seeds]
+    previous = None
+    # The reconstruction of the state just bounded, handed on to the next sweep.
+    reconstruction = None
+    try:
+        for sweep in range(1, config.max_sweeps + 1):
+            state = _sweep(state, X, hyper, groups, sweep, reconstruction)
+            reconstruction = None
+            if sweep % config.compute_bound_every and sweep != config.max_sweeps:
+                continue
+            reconstruction = _reconstruction(state)
+            bounds = variational_bound(
+                state, X, hyper, groups, sweep, constants=constants, reconstruction=reconstruction
+            )
+            for k, bound in zip(live, bounds):
+                traces[k].append((sweep, float(bound)))
+            if config.bound_tol > 0.0 and previous is not None:
+                done = bounds - previous < config.bound_tol * np.abs(previous)
+                if done.any():
+                    for j in np.flatnonzero(done):
+                        finals[live[j]], converged[live[j]] = _take(state, j), True
+                    keep = ~done
+                    state, live, bounds = _take(state, keep), live[keep], bounds[keep]
+                    reconstruction = tuple(a[keep] for a in reconstruction)
+                    if not live.size:
+                        break
+            previous = bounds
+    except NumericalError as exc:
+        exc.restart = int(live[exc.restart])
+        raise
+    for j, k in enumerate(live):
+        finals[k] = _take(state, j)
+    return [FitResult(*result) for result in zip(finals, traces, converged, seeds)]
+
+
+def fit_restarts(data, hyper, groups, config: FitConfig, seeds) -> list[FitResult]:
+    """One fit per seed, in seed order, swept together in batches.
 
     The bound is recorded every ``compute_bound_every`` sweeps and always at
-    the final sweep; with a positive ``bound_tol`` the loop stops once the
-    relative improvement between recorded bounds falls below it.
+    the final sweep; with a positive ``bound_tol`` a restart stops once the
+    relative improvement between its recorded bounds falls below it, and
+    the others go on. Each result is bitwise the ``fit`` with its seed;
+    ``config.seed`` and ``config.restarts`` are not read. A
+    ``NumericalError`` names the index of the failing seed.
     """
     X = as_data_matrix(data)
     V, I, C, T = hyper.dims
     if X.shape != (V, T):
         raise ValueError(f"data shape {X.shape} does not match hyperparameters {(V, T)}")
-    state = init_state(hyper, groups, seed=config.seed)
+    seeds = [int(s) for s in seeds]
     constants = _bound_constants(X, hyper, groups)
-    trace: list[tuple[int, float]] = []
-    converged = False
-    previous = None
-    # The reconstruction of the state just bounded, handed on to the next sweep.
-    reconstruction = None
-    for sweep in range(1, config.max_sweeps + 1):
-        state = update_sweep(state, X, hyper, groups, sweep=sweep, reconstruction=reconstruction)
-        reconstruction = None
-        if sweep % config.compute_bound_every == 0 or sweep == config.max_sweeps:
-            reconstruction = _reconstruction(state)
-            bound = variational_bound(
-                state,
-                X,
-                hyper,
-                groups,
-                sweep=sweep,
-                constants=constants,
-                reconstruction=reconstruction,
-            )
-            trace.append((sweep, bound))
-            if (
-                config.bound_tol > 0.0
-                and previous is not None
-                and bound - previous < config.bound_tol * abs(previous)
-            ):
-                converged = True
-                break
-            previous = bound
-    return FitResult(state=state, bound_trace=trace, converged=converged, seed=config.seed)
+    size = max(1, _BATCH_ELEMENTS // (V * T))
+    results: list[FitResult] = []
+    for first in range(0, len(seeds), size):
+        try:
+            results += _fit_batch(X, hyper, groups, config, seeds[first:first + size], constants)
+        except NumericalError as exc:
+            k = first + exc.restart
+            raise NumericalError(f"{exc} in restart {k}", restart=k) from exc
+    return results
 
 
-def multi_restart_fit(
-    data,
-    hyper: Hyperparameters,
-    groups: GroupAssignment,
-    config: FitConfig,
-) -> list[FitResult]:
+def fit(data, hyper: Hyperparameters, groups: GroupAssignment, config: FitConfig) -> FitResult:
+    """Run coordinate-ascent sweeps from the start seeded by ``config.seed``."""
+    return fit_restarts(data, hyper, groups, config, [config.seed])[0]
+
+
+def multi_restart_fit(data, hyper, groups, config: FitConfig) -> list[FitResult]:
     """Independent restarts with seeds derived from ``config.seed``.
 
     Returns every restart, stably sorted by final bound (best first). All
@@ -410,8 +465,5 @@ def multi_restart_fit(
     classification quality.
     """
     seeds = np.random.SeedSequence(config.seed).generate_state(config.restarts)
-    results = [
-        fit(data, hyper, groups, replace(config, seed=int(s))) for s in seeds
-    ]
-    order = sorted(range(len(results)), key=lambda k: -results[k].final_bound)
-    return [results[k] for k in order]
+    results = fit_restarts(data, hyper, groups, config, seeds)
+    return sorted(results, key=lambda r: -r.final_bound)

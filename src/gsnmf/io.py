@@ -1,5 +1,5 @@
-"""File formats: matrices (binary and CSV), model archives, PGM images,
-and grayscale heatmap export.
+"""File formats: matrices (binary and CSV), model archives, and PGM
+images, which carry the grayscale heatmap export.
 
 Binary matrix files carry magic ``GSNM``, a version byte of 1, two
 little-endian uint64 shape fields, then the row-major float64 payload.
@@ -34,10 +34,6 @@ __all__ = [
     "load_model",
     "load_pgm",
     "save_pgm",
-    "histogram_equalize",
-    "vectorize_images",
-    "apply_mask",
-    "downsample",
     "export_heatmap",
 ]
 
@@ -298,72 +294,6 @@ def save_pgm(image, path, maxval: int = 255):
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii")
     payload = clipped.astype(">u2" if maxval > 255 else "u1").tobytes()
     _atomic_write(path, header + payload)
-
-
-def histogram_equalize(image, maxval: int = 255) -> np.ndarray:
-    """Global histogram equalization onto the [0, maxval] integer range.
-
-    Each intensity maps through the empirical cumulative histogram:
-    out = round(cdf(v) * maxval). A constant image therefore maps to maxval.
-    """
-    img = np.asarray(image, dtype=float)
-    levels = np.rint(img).astype(int)
-    if levels.min() < 0 or levels.max() > maxval:
-        raise ValueError(f"intensities must lie in [0, {maxval}]")
-    hist = np.bincount(levels.ravel(), minlength=maxval + 1)
-    cdf = np.cumsum(hist) / levels.size
-    mapped = np.floor(cdf * maxval + 0.5)
-    return mapped[levels].astype(float)
-
-
-def vectorize_images(images) -> np.ndarray:
-    """Stack equal-shape images as columns, pixels in column-major scan order."""
-    mats = [np.asarray(im, dtype=float) for im in images]
-    if not mats:
-        raise ValueError("need at least one image")
-    shape = mats[0].shape
-    if any(m.shape != shape for m in mats):
-        raise ValueError("images must share one shape")
-    return np.column_stack([m.flatten(order="F") for m in mats])
-
-
-def apply_mask(data, mask) -> np.ndarray:
-    """Keep the rows of a vectorized data matrix where the mask is nonzero.
-
-    The mask may be given as an image (same shape as the originals,
-    vectorized in the same column-major order) or directly as a row vector.
-    """
-    X = np.asarray(data, dtype=float)
-    m = np.asarray(mask, dtype=float)
-    flat = m.flatten(order="F")
-    if flat.size != X.shape[0]:
-        raise ValueError("mask size does not match data rows")
-    return X[flat != 0.0, :]
-
-
-def downsample(image, factor: float) -> np.ndarray:
-    """Shrink an image by area-averaged pooling (factor in (0, 1])."""
-    img = np.asarray(image, dtype=float)
-    if img.ndim != 2:
-        raise ValueError("image must be 2-D")
-    if not (0.0 < factor <= 1.0):
-        raise ValueError("factor must be in (0, 1]")
-    out_h = max(1, int(round(img.shape[0] * factor)))
-    out_w = max(1, int(round(img.shape[1] * factor)))
-    return _area_average(_area_average(img, out_h, axis=0), out_w, axis=1)
-
-
-def _area_average(img: np.ndarray, out: int, axis: int) -> np.ndarray:
-    # Each output cell averages the input cells it overlaps, weighted by
-    # overlap length, so integer factors reduce to plain block pooling.
-    n = img.shape[axis]
-    edges = np.linspace(0.0, n, out + 1)
-    cells = np.arange(n)
-    lo = np.maximum(edges[:-1, None], cells[None, :])
-    hi = np.minimum(edges[1:, None], cells[None, :] + 1.0)
-    weights = np.clip(hi - lo, 0.0, None)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return np.moveaxis(weights @ np.moveaxis(img, axis, 0), 0, axis)
 
 
 def export_heatmap(matrix, path, style: str = "magnitude", cell_px: int = 8):

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import FitConfig, NumericalError, fit
+from .engine import FitConfig, NumericalError, fit_restarts
 from .model import GroupAssignment, PriorSettings, as_data_matrix
 from .projection import project_matrix
 
@@ -178,7 +178,8 @@ def evaluate(dataset: LabeledDataset, settings: PriorSettings, config: CvConfig)
     Per run x fold x restart: fit on the training columns with labels as
     groups (one group with ``settings.single_group``), project the held-out
     columns onto the fitted dictionary, and classify them against the
-    training coefficients. The report never reads bound traces, so each fit
+    training coefficients. The restarts of a fold share one
+    ``fit_restarts`` call. The report never reads bound traces, so each fit
     computes the bound once, at its last sweep. Seeds are pre-assigned per
     cell, so the result does not depend on execution order. A
     ``NumericalError`` is re-raised with the cell (run, fold, restart) in
@@ -188,6 +189,7 @@ def evaluate(dataset: LabeledDataset, settings: PriorSettings, config: CvConfig)
     y = dataset.labels
     seeds = _cell_seeds(config.seed, config.runs, config.folds, config.restarts)
     acc = np.zeros((config.runs, config.folds, config.restarts))
+    fit_config = FitConfig(max_sweeps=config.sweeps, compute_bound_every=config.sweeps)
     pos = 0
     for r in range(config.runs):
         partition_seed = int(seeds[pos])
@@ -200,18 +202,16 @@ def evaluate(dataset: LabeledDataset, settings: PriorSettings, config: CvConfig)
                 groups = GroupAssignment(1, np.zeros(t, dtype=int))
             else:
                 groups = GroupAssignment(dataset.n_classes, y[train_idx])
-            for k in range(config.restarts):
-                cell_seed = int(seeds[pos])
-                pos += 1
-                cell_config = FitConfig(
-                    max_sweeps=config.sweeps, compute_bound_every=config.sweeps, seed=cell_seed
-                )
-                try:
-                    result = fit(X[:, train_idx], hyper, groups, cell_config)
-                except NumericalError as exc:
-                    raise NumericalError(
-                        f"fit failed at run {r}, fold {f}, restart {k}: {exc}"
-                    ) from exc
+            cell_seeds = seeds[pos:pos + config.restarts]
+            pos += config.restarts
+            try:
+                results = fit_restarts(X[:, train_idx], hyper, groups, fit_config, cell_seeds)
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"fit failed at run {r}, fold {f}, restart {exc.restart}: {exc}",
+                    restart=exc.restart,
+                ) from exc
+            for k, result in enumerate(results):
                 train_features = result.state.E_v
                 test_features = project_matrix(result.state.E_t, X[:, test_idx])
                 predicted = knn_cosine_classify(train_features, y[train_idx], test_features)

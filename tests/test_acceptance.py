@@ -11,6 +11,7 @@ import pytest
 
 from gsnmf.engine import (
     FitConfig,
+    _bound_constants,
     fit,
     init_state,
     multi_restart_fit,
@@ -61,18 +62,16 @@ def sweep_harness():
     sweeps = 300
     for seed in range(20):
         X, hyper, z = random_count_problem(seed)
-        lgamma_counts = float(np.sum(log_gamma(X + 1.0)))
         for mode in ("observed", "latent"):
             groups = (
                 GroupAssignment(3, z) if mode == "observed" else GroupAssignment.latent(3)
             )
+            constants = _bound_constants(X, hyper, groups)
             state = init_state(hyper, groups, seed=seed)
             previous = None
             for sweep in range(1, sweeps + 1):
                 state = update_sweep(state, X, hyper, groups, sweep=sweep)
-                bound = variational_bound(
-                    state, X, hyper, groups, lgamma_counts_sum=lgamma_counts
-                )
+                bound = variational_bound(state, X, hyper, groups, constants=constants)
                 if previous is not None:
                     worst_drop = max(worst_drop, (previous - bound) / abs(previous))
                 previous = bound

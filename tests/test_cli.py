@@ -145,6 +145,19 @@ def test_more_folds_than_samples_exits_3(tmp_path):
         assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("entry", [{"a_small": "x"}, {"per_group": 2.5}, {"single_group": "no"}])
+def test_sweep_grid_value_of_the_wrong_type_exits_3(tmp_path, entry):
+    io.save_matrix(np.ones((4, 6)), tmp_path / "X.bin", "binary")
+    io.save_matrix(np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]]), tmp_path / "y.bin", "binary")
+    (tmp_path / "grid.json").write_text(json.dumps([entry]))
+    r = run_cli(["sweep", "--grid", "grid.json", "--data", "X.bin", "--labels", "y.bin",
+                 "--folds", "2", "--runs", "1", "--restarts", "1", "--sweeps", "5",
+                 "--report", "report.json"], tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert f"grid key {next(iter(entry))!r}" in r.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_sweep_selects_and_reports(workspace):
     (workspace / "grid.json").write_text(json.dumps([
         {"per_group": 2, "a_small": 1.0, "a_large": 1.0, "b_lambda": 1.0},

@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gsnmf import engine
 from gsnmf.engine import (
     FitConfig,
     NumericalError,
     fit,
+    fit_restarts,
     init_state,
     multi_restart_fit,
     update_sweep,
@@ -377,3 +379,77 @@ def test_fit_validates_data_shape():
         fit(X[:, :-1], hyper, groups, FitConfig(max_sweeps=1))
     with pytest.raises(ValueError):
         fit(-X, hyper, groups, FitConfig(max_sweeps=1))
+
+
+def assert_same_fit(batched, single):
+    for name in ("t", "v", "lam"):
+        for attr in ("alpha", "beta", "mean", "log_mean"):
+            np.testing.assert_array_equal(
+                getattr(getattr(batched.state, name), attr),
+                getattr(getattr(single.state, name), attr),
+                err_msg=f"{name}.{attr}",
+            )
+    for name in ("Sigma_t", "Sigma_v", "Delta", "Pi"):
+        np.testing.assert_array_equal(
+            getattr(batched.state, name), getattr(single.state, name), err_msg=name
+        )
+    assert batched.bound_trace == single.bound_trace
+    assert (batched.converged, batched.seed) == (single.converged, single.seed)
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+@pytest.mark.parametrize("mode", ["observed", "latent"])
+def test_batched_restarts_match_separate_fits_bitwise(mode, restarts, monkeypatch):
+    X, hyper, groups = small_problem(seed=12)
+    if mode == "latent":
+        groups = GroupAssignment.latent(hyper.dims[2])
+    # Batches of two restarts: with three, a batch boundary falls inside.
+    monkeypatch.setattr(engine, "_BATCH_ELEMENTS", 2 * X.size)
+    config = FitConfig(max_sweeps=30, compute_bound_every=4)
+    seeds = [11, 5, 2024][:restarts]
+    results = fit_restarts(X, hyper, groups, config, seeds)
+    assert len(results) == restarts
+    for seed, result in zip(seeds, results):
+        assert result.state.E_t.shape == hyper.A_t.shape
+        assert_same_fit(result, fit(X, hyper, groups, dataclasses.replace(config, seed=seed)))
+        # The same fit through the single-state API, with no restart axis.
+        state = init_state(hyper, groups, seed=seed)
+        for sweep in range(1, config.max_sweeps + 1):
+            state = update_sweep(state, X, hyper, groups, sweep=sweep)
+        np.testing.assert_array_equal(result.state.t.alpha, state.t.alpha)
+        np.testing.assert_array_equal(result.state.E_v, state.E_v)
+        np.testing.assert_array_equal(result.state.Pi, state.Pi)
+        assert result.final_bound == variational_bound(state, X, hyper, groups)
+
+
+def test_numerical_error_names_the_restart_and_the_sweep(monkeypatch):
+    X, hyper, groups = small_problem()
+    monkeypatch.setattr(engine, "_BATCH_ELEMENTS", 2 * X.size)
+    start = engine._init_states
+
+    def poisoned(hyper, groups, seeds):
+        state = start(hyper, groups, seeds)
+        if len(seeds) == 1:  # the second batch holds restart 2 alone
+            state.t.log_mean[0, 0, 0] = np.nan
+        return state
+
+    monkeypatch.setattr(engine, "_init_states", poisoned)
+    with pytest.raises(NumericalError, match="Sigma_v at sweep 1 in restart 2") as info:
+        fit_restarts(X, hyper, groups, FitConfig(max_sweeps=5), [1, 2, 3])
+    assert info.value.restart == 2
+
+
+@pytest.mark.parametrize("mode", ["observed", "latent"])
+def test_converged_restart_leaves_the_batch_while_others_go_on(mode):
+    X, hyper, groups = small_problem()
+    if mode == "latent":
+        groups = GroupAssignment.latent(hyper.dims[2])
+    config = FitConfig(max_sweeps=80, bound_tol=1e-6)
+    seeds = [3, 4, 5, 6]
+    results = fit_restarts(X, hyper, groups, config, seeds)
+    stops = [r.bound_trace[-1][0] for r in results]
+    assert any(r.converged for r in results)
+    assert len(set(stops)) > 1
+    for seed, result in zip(seeds, results):
+        assert result.converged == (result.bound_trace[-1][0] < 80)
+        assert_same_fit(result, fit(X, hyper, groups, dataclasses.replace(config, seed=seed)))

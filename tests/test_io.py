@@ -189,75 +189,6 @@ def test_pgm_error_cases(tmp_path):
         io.load_pgm(p)
 
 
-def test_histogram_equalize_constant_maps_to_maxval():
-    img = np.full((5, 5), 31.0)
-    np.testing.assert_array_equal(io.histogram_equalize(img), np.full((5, 5), 255.0))
-
-
-def test_histogram_equalize_two_level_image():
-    # 50% black / 50% white: cdf(0) = 0.5 -> 128, cdf(255) = 1.0 -> 255
-    img = np.zeros((4, 4))
-    img[:, 2:] = 255.0
-    eq = io.histogram_equalize(img)
-    assert set(eq.ravel()) == {128.0, 255.0}
-
-
-def test_histogram_equalize_flattens_natural_images():
-    # ramp + noise with plenty of gray levels: the equalized histogram
-    # should pass a chi-square uniformity check at the 0.01 level
-    rng = np.random.default_rng(8)
-    base = np.linspace(0, 255, 64 * 64).reshape(64, 64)
-    img = np.clip(np.rint(base + rng.normal(0, 12, size=base.shape)), 0, 255)
-    assert len(np.unique(img)) >= 64
-    eq = io.histogram_equalize(img)
-    bins = 16
-    observed, _ = np.histogram(eq, bins=bins, range=(0, 255))
-    expected = eq.size / bins
-    chi_square = float(((observed - expected) ** 2 / expected).sum())
-    critical_0_01 = 30.578  # chi-square, 15 degrees of freedom
-    assert chi_square < critical_0_01
-
-
-def test_vectorize_images_column_major_stacking():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = a * 10.0
-    m = io.vectorize_images([a, b])
-    assert m.shape == (4, 2)
-    np.testing.assert_array_equal(m[:, 0], [1.0, 3.0, 2.0, 4.0])
-    with pytest.raises(ValueError):
-        io.vectorize_images([a, np.ones((3, 3))])
-    with pytest.raises(ValueError):
-        io.vectorize_images([])
-
-
-def test_apply_mask_drops_rows():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    data = io.vectorize_images([a, a + 1])
-    mask = np.array([[1.0, 1.0], [0.0, 1.0]])
-    kept = io.apply_mask(data, mask)
-    assert kept.shape == (3, 2)
-    np.testing.assert_array_equal(kept[:, 0], [1.0, 2.0, 4.0])
-    with pytest.raises(ValueError):
-        io.apply_mask(data, np.ones((3, 3)))
-
-
-def test_downsample_half_is_block_average():
-    img = np.arange(16.0).reshape(4, 4)
-    np.testing.assert_allclose(
-        io.downsample(img, 0.5), [[2.5, 4.5], [10.5, 12.5]]
-    )
-
-
-def test_downsample_preserves_mean_and_constant_images():
-    rng = np.random.default_rng(3)
-    img = rng.random((8, 12))
-    for factor in (0.5, 0.75, 1.0):
-        small = io.downsample(img, factor)
-        assert small.shape == (max(1, round(8 * factor)), max(1, round(12 * factor)))
-        assert small.mean() == pytest.approx(img.mean(), rel=1e-9)
-    np.testing.assert_allclose(io.downsample(np.full((5, 5), 3.0), 0.75), np.full((4, 4), 3.0))
-
-
 def test_export_heatmap_zero_matrix_is_white(tmp_path):
     p = tmp_path / "h.pgm"
     io.export_heatmap(np.zeros((3, 4)), p, "magnitude", cell_px=5)

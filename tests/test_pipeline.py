@@ -167,7 +167,7 @@ def test_evaluate_keeps_the_type_of_a_bad_input_error(planted_dataset, monkeypat
     def reject(*args, **kwargs):
         raise ValueError("data matrix does not match the hyperparameters")
 
-    monkeypatch.setattr(pipeline, "fit", reject)
+    monkeypatch.setattr(pipeline, "fit_restarts", reject)
     ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
     settings = PriorSettings(per_group=1, a_small=1.0, a_large=16.0, b_lambda=1.0)
     with pytest.raises(ValueError, match="does not match"):
@@ -181,7 +181,7 @@ def test_evaluate_names_the_cell_of_a_numerical_failure(planted_dataset, monkeyp
     def explode(*args, **kwargs):
         raise NumericalError("non-finite values in E_t at sweep 3")
 
-    monkeypatch.setattr(pipeline, "fit", explode)
+    monkeypatch.setattr(pipeline, "fit_restarts", explode)
     ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
     settings = PriorSettings(per_group=1, a_small=1.0, a_large=16.0, b_lambda=1.0)
     with pytest.raises(NumericalError, match="run 0, fold 0, restart 0: .*E_t at sweep 3"):
