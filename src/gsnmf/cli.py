@@ -126,8 +126,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_labels(path) -> np.ndarray:
+def _load_labels(path, n_samples: int) -> np.ndarray:
+    """Nonnegative integer labels, exactly one per sample."""
     raw = io.load_matrix(path).ravel()
+    if raw.size != n_samples:
+        raise DataError(f"{path}: {raw.size} labels for {n_samples} samples")
     labels = raw.astype(int)
     if not np.array_equal(labels, raw):
         raise DataError(f"{path}: labels must be integers")
@@ -172,14 +175,10 @@ def _prior_from_args(args, per_group: int) -> PriorSettings:
     )
 
 
-def _write_text(text: str, path):
-    tmp = Path(path).with_name(Path(path).name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _write_json(payload, path):
-    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, path)
 
 
 def _cmd_generate(args) -> str:
@@ -202,28 +201,18 @@ def _cmd_train(args) -> str:
     X = model.as_data_matrix(io.load_matrix(args.data))
     V, T = X.shape
     I = args.dict_size
-    if args.mode == "observed":
-        if args.labels is None:
-            raise DataError("--labels is required in observed mode")
-        labels = _load_labels(args.labels)
-        if labels.size != T:
-            raise DataError(f"{labels.size} labels for {T} samples")
+    labels = None if args.labels is None else _load_labels(args.labels, T)
+    if labels is not None:
         C = int(labels.max()) + 1
-        groups = GroupAssignment(C, labels)
+    elif args.mode == "observed":
+        raise DataError("--labels is required in observed mode")
+    elif args.per_group is None:
+        raise DataError("latent mode without labels needs --per-group to fix the group count")
     else:
-        if args.labels is not None:
-            labels = _load_labels(args.labels)
-            if labels.size != T:
-                raise DataError(f"{labels.size} labels for {T} samples")
-            C = int(labels.max()) + 1
-        else:
-            if args.per_group is None:
-                raise DataError("latent mode without labels needs --per-group to fix "
-                                "the group count")
-            C = I // args.per_group
-            if C < 1:
-                raise DataError("--per-group exceeds --dict-size")
-        groups = GroupAssignment.latent(C)
+        C = I // args.per_group
+        if C < 1:
+            raise DataError("--per-group exceeds --dict-size")
+    groups = GroupAssignment(C, labels) if args.mode == "observed" else GroupAssignment.latent(C)
     per_group = _resolve_per_group(I, C, args.per_group)
     hyper = _prior_from_args(args, per_group).hyperparameters(V, C, T)
     config = FitConfig(
@@ -237,10 +226,7 @@ def _cmd_train(args) -> str:
     if args.bound_trace is not None:
         sweeps = [s for s, _ in results[0].bound_trace]
         columns = [sweeps] + [[b for _, b in r.bound_trace] for r in results]
-        lines = "\n".join(
-            ",".join(f"{col[i]:.17g}" for col in columns) for i in range(len(sweeps))
-        )
-        _write_text(lines + "\n", args.bound_trace)
+        io.save_matrix(np.array(columns, dtype=float).T, args.bound_trace, "csv")
     return (
         f"train: best of {args.restarts} restarts reached bound "
         f"{results[0].final_bound:.6f} after {args.sweeps} sweeps -> {args.out}"
@@ -259,9 +245,7 @@ def _cmd_classify(args) -> str:
     archive = io.load_model(args.model)
     train = model.as_data_matrix(io.load_matrix(args.train_data))
     test = model.as_data_matrix(io.load_matrix(args.test_data))
-    labels = _load_labels(args.train_labels)
-    if labels.size != train.shape[1]:
-        raise DataError(f"{labels.size} labels for {train.shape[1]} training samples")
+    labels = _load_labels(args.train_labels, train.shape[1])
     # Both sides are projected so train and test live in one representation.
     train_features = pipeline.project_matrix(archive.state.E_t, train)
     test_features = pipeline.project_matrix(archive.state.E_t, test)
@@ -272,7 +256,7 @@ def _cmd_classify(args) -> str:
 
 def _load_cv(args) -> tuple[pipeline.LabeledDataset, pipeline.CvConfig]:
     X = model.as_data_matrix(io.load_matrix(args.data))
-    dataset = pipeline.LabeledDataset(X, _load_labels(args.labels))
+    dataset = pipeline.LabeledDataset(X, _load_labels(args.labels, X.shape[1]))
     config = pipeline.CvConfig(
         folds=args.folds, runs=args.runs, restarts=args.restarts, seed=args.seed, sweeps=args.sweeps
     )
@@ -344,7 +328,7 @@ def _cmd_sweep(args) -> str:
 
 def _cmd_prevalence(args) -> str:
     archive = io.load_model(args.model)
-    labels = _load_labels(args.labels)
+    labels = _load_labels(args.labels, archive.state.E_v.shape[1])
     prev = pipeline.group_prevalence(archive.state.E_v, labels)
     io.export_heatmap(prev, args.out, style=args.style, cell_px=args.cell_px)
     return f"prevalence: wrote {prev.shape[0]}x{prev.shape[1]} {args.style} heatmap to {args.out}"
@@ -365,10 +349,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         summary = _COMMANDS[args.command](args)
-    except (DataError, io.FormatError, ValueError) as exc:
-        print(f"gsnmf {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, io.FormatError, ValueError, OSError) as exc:
         print(f"gsnmf {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

@@ -63,15 +63,9 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of the fit loop.
-
-    ``bound_tol`` <= 0 disables early stopping (the default protocol runs a
-    fixed number of sweeps); when positive, a fit stops once the relative
-    bound improvement between consecutive evaluations drops below it.
-    """
+    """Knobs of the fit loop; every fit runs exactly ``max_sweeps`` sweeps."""
 
     max_sweeps: int = 300
-    bound_tol: float = 0.0
     compute_bound_every: int = 1
     restarts: int = 10
     seed: int = 0
@@ -117,7 +111,7 @@ class VariationalState:
 
 
 def _take(state: VariationalState, index) -> VariationalState:
-    """The restarts ``index`` selects (an integer drops the axis); 2-D arrays stay shared."""
+    """Restart ``index`` of a batch, without the restart axis; 2-D arrays stay shared."""
 
     def pick(a):
         return a[index] if a.ndim > 2 else a
@@ -377,7 +371,6 @@ class FitResult:
 
     state: VariationalState
     bound_trace: list[tuple[int, float]] = field(default_factory=list)
-    converged: bool = False
     seed: int = 0
 
     @property
@@ -386,53 +379,32 @@ class FitResult:
 
 
 def _fit_batch(X, hyper, groups, config: FitConfig, seeds: list[int], constants) -> list[FitResult]:
-    """Sweep one batch of restarts together; a converged restart leaves the batch."""
+    """Sweep one batch of restarts together for ``config.max_sweeps`` sweeps."""
     state = _init_states(hyper, groups, seeds)
-    live = np.arange(len(seeds))  # the batch index of each restart still swept
-    finals, converged = [None] * len(seeds), [False] * len(seeds)
     traces: list[list[tuple[int, float]]] = [[] for _ in seeds]
-    previous = None
     # The reconstruction of the state just bounded, handed on to the next sweep.
     reconstruction = None
-    try:
-        for sweep in range(1, config.max_sweeps + 1):
-            state = _sweep(state, X, hyper, groups, sweep, reconstruction)
-            reconstruction = None
-            if sweep % config.compute_bound_every and sweep != config.max_sweeps:
-                continue
-            reconstruction = _reconstruction(state)
-            bounds = variational_bound(
-                state, X, hyper, groups, sweep, constants=constants, reconstruction=reconstruction
-            )
-            for k, bound in zip(live, bounds):
-                traces[k].append((sweep, float(bound)))
-            if config.bound_tol > 0.0 and previous is not None:
-                done = bounds - previous < config.bound_tol * np.abs(previous)
-                if done.any():
-                    for j in np.flatnonzero(done):
-                        finals[live[j]], converged[live[j]] = _take(state, j), True
-                    keep = ~done
-                    state, live, bounds = _take(state, keep), live[keep], bounds[keep]
-                    reconstruction = tuple(a[keep] for a in reconstruction)
-                    if not live.size:
-                        break
-            previous = bounds
-    except NumericalError as exc:
-        exc.restart = int(live[exc.restart])
-        raise
-    for j, k in enumerate(live):
-        finals[k] = _take(state, j)
-    return [FitResult(*result) for result in zip(finals, traces, converged, seeds)]
+    for sweep in range(1, config.max_sweeps + 1):
+        state = _sweep(state, X, hyper, groups, sweep, reconstruction)
+        reconstruction = None
+        if sweep % config.compute_bound_every and sweep != config.max_sweeps:
+            continue
+        reconstruction = _reconstruction(state)
+        bounds = variational_bound(
+            state, X, hyper, groups, sweep, constants=constants, reconstruction=reconstruction
+        )
+        for trace, bound in zip(traces, bounds):
+            trace.append((sweep, float(bound)))
+    return [FitResult(_take(state, j), traces[j], seed) for j, seed in enumerate(seeds)]
 
 
 def fit_restarts(data, hyper, groups, config: FitConfig, seeds) -> list[FitResult]:
     """One fit per seed, in seed order, swept together in batches.
 
-    The bound is recorded every ``compute_bound_every`` sweeps and always at
-    the final sweep; with a positive ``bound_tol`` a restart stops once the
-    relative improvement between its recorded bounds falls below it, and
-    the others go on. Each result is bitwise the ``fit`` with its seed;
-    ``config.seed`` and ``config.restarts`` are not read. A
+    Every restart runs ``max_sweeps`` sweeps. The bound is recorded every
+    ``compute_bound_every`` sweeps and always at the final sweep, so every
+    trace has the same sweep indices. Each result is bitwise the ``fit``
+    with its seed; ``config.seed`` and ``config.restarts`` are not read. A
     ``NumericalError`` names the index of the failing seed.
     """
     X = as_data_matrix(data)

@@ -3,13 +3,13 @@ images, which carry the grayscale heatmap export.
 
 Binary matrix files carry magic ``GSNM``, a version byte of 1, two
 little-endian uint64 shape fields, then the row-major float64 payload.
-Model archives carry magic ``GSNMA``, a version byte of 2, a fixed header
-(mode, seed, convergence flag, group count) and then the same matrix
-blocks: the group vector, five hyperparameter blocks, ten state blocks
-(alpha and beta of the dictionary, coefficient and rate-indicator gamma
-factors, then Sigma_t, Sigma_v, Delta, Pi) and the bound trace. Gamma
-means and log-means are rebuilt from (alpha, beta) on load. Both formats
-round-trip bitwise.
+Model archives carry magic ``GSNMA``, a version byte of 3, a fixed header
+(mode, seed, group count) and then the same matrix blocks: the group
+vector, five hyperparameter blocks, ten state blocks (alpha and beta of
+the dictionary, coefficient and rate-indicator gamma factors, then
+Sigma_t, Sigma_v, Delta, Pi) and the bound trace. Gamma means and
+log-means are rebuilt from (alpha, beta) on load, which rejects a
+non-positive or non-finite alpha or beta. Both formats round-trip bitwise.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ __all__ = [
 MATRIX_MAGIC = b"GSNM"
 ARCHIVE_MAGIC = b"GSNMA"
 FORMAT_VERSION = 1
-ARCHIVE_VERSION = 2
-# Version, observed flag, seed, converged flag, group count.
-_ARCHIVE_HEADER = struct.Struct("<BBqBQ")
+ARCHIVE_VERSION = 3
+# Version, observed flag, seed, group count.
+_ARCHIVE_HEADER = struct.Struct("<BBqQ")
 
 
 class FormatError(ValueError):
@@ -143,7 +143,6 @@ class ModelArchive:
     state: VariationalState
     bound_trace: list[tuple[int, float]]
     seed: int
-    converged: bool
 
     @classmethod
     def from_fit(
@@ -155,7 +154,6 @@ class ModelArchive:
             state=result.state,
             bound_trace=list(result.bound_trace),
             seed=result.seed,
-            converged=result.converged,
         )
 
 
@@ -174,7 +172,6 @@ def save_model(archive: ModelArchive, path):
             ARCHIVE_VERSION,
             1 if archive.groups.observed else 0,
             int(archive.seed),
-            1 if archive.converged else 0,
             archive.groups.n_groups,
         ),
     ]
@@ -201,7 +198,7 @@ def load_model(path) -> ModelArchive:
     offset = len(ARCHIVE_MAGIC)
     if len(raw) < offset + _ARCHIVE_HEADER.size:
         raise FormatError("truncated archive header")
-    version, observed, seed, converged, n_groups = _ARCHIVE_HEADER.unpack_from(raw, offset)
+    version, observed, seed, n_groups = _ARCHIVE_HEADER.unpack_from(raw, offset)
     if version != ARCHIVE_VERSION:
         raise FormatError(f"unsupported archive version {version}")
     buf = memoryview(raw)
@@ -219,12 +216,15 @@ def load_model(path) -> ModelArchive:
     else:
         groups = GroupAssignment.latent(int(n_groups))
     state_blocks = iter(blocks[5:-1])
+    factors = {}
     try:
-        factors = {
-            name: GammaFactor(next(state_blocks), next(state_blocks)) for name in _STATE_FACTORS
-        }
+        for name in _STATE_FACTORS:
+            alpha, beta = next(state_blocks), next(state_blocks)
+            if not np.all(np.isfinite(beta) & (beta > 0.0)):
+                raise ValueError("scale requires finite inputs > 0")
+            factors[name] = GammaFactor(alpha, beta)
     except ValueError as exc:
-        raise FormatError(f"{path}: bad gamma factor shape block ({exc})") from exc
+        raise FormatError(f"{path}: bad gamma factor block ({exc})") from exc
     state = VariationalState(**factors, **dict(zip(_STATE_MATRICES, state_blocks)))
     trace = [(int(s), float(b)) for s, b in blocks[-1]]
     return ModelArchive(
@@ -233,7 +233,6 @@ def load_model(path) -> ModelArchive:
         state=state,
         bound_trace=trace,
         seed=int(seed),
-        converged=bool(converged),
     )
 
 

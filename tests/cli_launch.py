@@ -7,7 +7,8 @@ point at nothing there. The child instead gets an environment whose
 tree, followed by whatever ``PYTHONPATH`` was already set. The absolute
 ``src`` path goes first so the child always runs the working tree: a stale
 installed copy of ``gsnmf`` in site-packages cannot shadow it, and the
-parent and child test the same code.
+parent and child test the same code. The child also turns a numpy
+``RuntimeWarning`` into an error, as the test process itself does.
 """
 
 import os
@@ -21,9 +22,14 @@ PY = [sys.executable, "-m", "gsnmf"]
 
 
 def cli_env():
-    """A copy of ``os.environ`` with the absolute ``src`` first on ``PYTHONPATH``."""
+    """A copy of ``os.environ`` with the absolute ``src`` first on ``PYTHONPATH``
+    and ``error::RuntimeWarning`` appended to ``PYTHONWARNINGS``, where the
+    last matching entry wins."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = ",".join(
+        filter(None, [env.get("PYTHONWARNINGS"), "error::RuntimeWarning"])
+    )
     return env
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from cli_launch import run_cli
 from gsnmf import io
+from gsnmf.engine import FitConfig, fit
+from gsnmf.model import GroupAssignment, PriorSettings
 
 
 def generate_args(seed=7, dims="16,4,2,20"):
@@ -211,6 +213,41 @@ def test_truncated_archive_exits_3(tmp_path):
                 tmp_path)
     assert r.returncode == 3, r.stderr
     assert "truncated archive header" in r.stderr
+
+
+def small_fit(tmp_path):
+    """Write a 4 x 6 all-ones data file X.bin; return a two-sweep fit to it."""
+    hyper = PriorSettings(per_group=1).hyperparameters(4, 2, 6)
+    groups = GroupAssignment(2, np.arange(6) % 2)
+    io.save_matrix(np.ones((4, 6)), tmp_path / "X.bin", "binary")
+    return hyper, groups, fit(np.ones((4, 6)), hyper, groups, FitConfig(max_sweeps=2))
+
+
+def test_project_on_a_zero_scale_archive_exits_3(tmp_path):
+    hyper, groups, result = small_fit(tmp_path)
+    result.state.t.beta[0, 0] = 0.0
+    io.save_model(io.ModelArchive.from_fit(hyper, groups, result), tmp_path / "m.gsnm")
+    r = run_cli(["project", "--model", "m.gsnm", "--data", "X.bin", "--out", "V.csv"], tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert "bad gamma factor" in r.stderr
+    assert not (tmp_path / "V.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--data", "X.bin", "--labels", "y.bin", "--dict-size", "2", "--out", "m2.gsnm"],
+    ["classify", "--model", "m.gsnm", "--train-data", "X.bin", "--train-labels", "y.bin",
+     "--test-data", "X.bin", "--out", "pred.csv"],
+    ["evaluate", "--data", "X.bin", "--labels", "y.bin", "--folds", "2", "--runs", "1",
+     "--restarts", "1", "--sweeps", "2", "--per-group", "1", "--report", "report.json"],
+    ["prevalence", "--model", "m.gsnm", "--labels", "y.bin", "--out", "heat.pgm"],
+], ids=lambda command: command[0])
+def test_label_count_mismatch_exits_3(tmp_path, command):
+    hyper, groups, result = small_fit(tmp_path)
+    io.save_model(io.ModelArchive.from_fit(hyper, groups, result), tmp_path / "m.gsnm")
+    io.save_matrix(np.array([[0.0, 0.0, 0.0, 1.0, 1.0]]), tmp_path / "y.bin", "binary")
+    r = run_cli(command, tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert "5 labels for 6 samples" in r.stderr
 
 
 def test_numerical_failure_exits_4(monkeypatch, capsys):

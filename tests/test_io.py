@@ -81,7 +81,6 @@ def test_model_archive_round_trip_bitwise(tmp_path):
         io.save_model(archive, path)
         loaded = io.load_model(path)
         assert loaded.seed == 42
-        assert loaded.converged == result.converged
         assert loaded.groups.observed == groups.observed
         assert loaded.groups.n_groups == 2
         assert loaded.bound_trace == result.bound_trace
@@ -116,22 +115,25 @@ def saved_archive(tmp_path):
 def test_model_loader_rejects_version_1_archives(tmp_path):
     path = saved_archive(tmp_path)
     raw = bytearray(path.read_bytes())
-    assert raw[len(io.ARCHIVE_MAGIC)] == io.ARCHIVE_VERSION == 2
-    raw[len(io.ARCHIVE_MAGIC)] = 1
-    path.write_bytes(bytes(raw))
-    with pytest.raises(io.FormatError, match="unsupported archive version 1"):
-        io.load_model(path)
+    assert raw[len(io.ARCHIVE_MAGIC)] == io.ARCHIVE_VERSION == 3
+    for version in (1, 2):
+        raw[len(io.ARCHIVE_MAGIC)] = version
+        path.write_bytes(bytes(raw))
+        with pytest.raises(io.FormatError, match=f"unsupported archive version {version}"):
+            io.load_model(path)
 
 
 def test_model_loader_rejects_a_nonpositive_gamma_shape(tmp_path):
     hyper = PriorSettings(per_group=1).hyperparameters(3, 2, 4)
     groups = GroupAssignment(2, np.array([0, 1, 0, 1]))
-    result = fit(np.ones((3, 4)), hyper, groups, FitConfig(max_sweeps=2))
-    result.state.t.alpha[0, 0] = 0.0
     path = tmp_path / "m.gsnm"
-    io.save_model(io.ModelArchive.from_fit(hyper, groups, result), path)
-    with pytest.raises(io.FormatError, match="gamma factor"):
-        io.load_model(path)
+    for part in ("alpha", "beta"):
+        for bad in (0.0, -1.0, np.inf):
+            result = fit(np.ones((3, 4)), hyper, groups, FitConfig(max_sweeps=2))
+            getattr(result.state.t, part)[0, 0] = bad
+            io.save_model(io.ModelArchive.from_fit(hyper, groups, result), path)
+            with pytest.raises(io.FormatError, match="gamma factor"):
+                io.load_model(path)
 
 
 def test_model_loader_rejects_every_truncation(tmp_path):
