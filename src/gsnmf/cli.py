@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -176,9 +175,7 @@ def _prior_from_args(args, per_group: int) -> PriorSettings:
 
 
 def _write_json(payload, path):
-    tmp = Path(path).with_name(Path(path).name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    io._atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _cmd_generate(args) -> str:

@@ -25,6 +25,7 @@ batch spans at most ``_BATCH_ELEMENTS`` cells (R·V·T).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class FitConfig:
             raise ValueError("restarts must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VariationalState:
     """The factorized posterior after a sweep.
 
@@ -108,6 +109,18 @@ class VariationalState:
     def E_v(self) -> np.ndarray:
         """Posterior mean of the coefficients."""
         return self.v.mean
+
+    @cached_property
+    def reconstruction(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """exp of the t and v log-means and their product floored at ``_DENOM_FLOOR``.
+
+        The product is the Poisson-mixing denominator. The bound of a state
+        and the next sweep from it both read these arrays; whichever asks
+        first computes them.
+        """
+        exp_lt = np.exp(self.t.log_mean)
+        exp_lv = np.exp(self.v.log_mean)
+        return exp_lt, exp_lv, np.maximum(exp_lt @ exp_lv, _DENOM_FLOOR)
 
 
 def _take(state: VariationalState, index) -> VariationalState:
@@ -138,20 +151,6 @@ def _check_terms(name: str, terms, sweep: int | None):
     _require(np.isfinite(terms), f"non-finite bound contribution from the {name} terms", sweep)
 
 
-_Reconstruction = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _reconstruction(state: VariationalState) -> _Reconstruction:
-    """exp of the t and v log-means and their floored product, the Poisson-mixing denominator.
-
-    Both the bound of a state and the next sweep from it need exactly these
-    arrays, so the fit loop computes them once per state.
-    """
-    exp_lt = np.exp(state.t.log_mean)
-    exp_lv = np.exp(state.v.log_mean)
-    return exp_lt, exp_lv, np.maximum(exp_lt @ exp_lv, _DENOM_FLOOR)
-
-
 def _init_states(hyper: Hyperparameters, groups: GroupAssignment, seeds) -> VariationalState:
     """One starting point per seed, stacked on a leading restart axis.
 
@@ -168,7 +167,7 @@ def _init_states(hyper: Hyperparameters, groups: GroupAssignment, seeds) -> Vari
     if groups.observed and groups.z.size != T:
         raise ValueError("group vector length does not match hyperparameters")
 
-    delta = groups.one_hot(T) if groups.observed else np.full((T, C), 1.0 / C)
+    delta = groups.one_hot() if groups.observed else np.full((T, C), 1.0 / C)
 
     # Each seed draws its noise for t, v and lam in that order.
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -197,18 +196,14 @@ def _sweep(
     hyper: Hyperparameters,
     groups: GroupAssignment,
     sweep: int | None,
-    reconstruction: _Reconstruction | None = None,
 ) -> VariationalState:
     """One full coordinate-ascent sweep of a state or a batch; returns a fresh state.
 
     Cells of the data with value 0 contribute zero counts (their mixing
     ratio is defined as 0); reconstruction denominators are floored at a
-    tiny positive value everywhere else. ``reconstruction`` may carry
-    ``_reconstruction(state)`` when the caller already computed it.
+    tiny positive value everywhere else.
     """
-    if reconstruction is None:
-        reconstruction = _reconstruction(state)
-    exp_lt, exp_lv, denom = reconstruction
+    exp_lt, exp_lv, denom = state.reconstruction
 
     # Count allocation: expected per-feature counts under the current
     # multinomial posterior, contracted over samples resp. dimensions.
@@ -259,12 +254,12 @@ def _sweep(
     )
 
 
-def update_sweep(state, data, hyper, groups, sweep=None, reconstruction=None) -> VariationalState:
+def update_sweep(state, data, hyper, groups, sweep=None) -> VariationalState:
     """One coordinate-ascent sweep of a single state; returns a fresh state.
 
     The fit loop sweeps its batches of restarts through the same ``_sweep``.
     """
-    return _sweep(state, data, hyper, groups, sweep, reconstruction)
+    return _sweep(state, data, hyper, groups, sweep)
 
 
 @dataclass(frozen=True)
@@ -301,7 +296,6 @@ def variational_bound(
     groups: GroupAssignment,
     sweep: int | None = None,
     constants: _BoundConstants | None = None,
-    reconstruction: _Reconstruction | None = None,
 ):
     """Evidence lower bound of the current factorized posterior.
 
@@ -309,15 +303,12 @@ def variational_bound(
     count-allocation factor is refreshed from the current log-means, so
     consecutive post-sweep evaluations sit at the same point of the update
     cycle and the returned trace is non-decreasing. ``constants`` may carry
-    ``_bound_constants`` (all the terms that never change across sweeps)
-    and ``reconstruction`` may carry ``_reconstruction(state)``. ``sweep``
-    only names the sweep in errors.
+    ``_bound_constants`` (all the terms that never change across sweeps).
+    ``sweep`` only names the sweep in errors.
     """
     X = data
     constants = constants or _bound_constants(X, hyper, groups)
-    if reconstruction is None:
-        reconstruction = _reconstruction(state)
-    denom = reconstruction[2]
+    denom = state.reconstruction[2]
     cells = (-2, -1)
     t, v, lam = state.t, state.v, state.lam
     mixing = (
@@ -382,17 +373,11 @@ def _fit_batch(X, hyper, groups, config: FitConfig, seeds: list[int], constants)
     """Sweep one batch of restarts together for ``config.max_sweeps`` sweeps."""
     state = _init_states(hyper, groups, seeds)
     traces: list[list[tuple[int, float]]] = [[] for _ in seeds]
-    # The reconstruction of the state just bounded, handed on to the next sweep.
-    reconstruction = None
     for sweep in range(1, config.max_sweeps + 1):
-        state = _sweep(state, X, hyper, groups, sweep, reconstruction)
-        reconstruction = None
+        state = _sweep(state, X, hyper, groups, sweep)
         if sweep % config.compute_bound_every and sweep != config.max_sweeps:
             continue
-        reconstruction = _reconstruction(state)
-        bounds = variational_bound(
-            state, X, hyper, groups, sweep, constants=constants, reconstruction=reconstruction
-        )
+        bounds = variational_bound(state, X, hyper, groups, sweep, constants=constants)
         for trace, bound in zip(traces, bounds):
             trace.append((sweep, float(bound)))
     return [FitResult(_take(state, j), traces[j], seed) for j, seed in enumerate(seeds)]

@@ -70,12 +70,10 @@ class GroupAssignment:
     def latent(cls, n_groups: int) -> "GroupAssignment":
         return cls(n_groups=n_groups, z=None)
 
-    def one_hot(self, n_samples: int | None = None) -> np.ndarray:
+    def one_hot(self) -> np.ndarray:
         """T x C indicator matrix (observed mode only)."""
         if self.z is None:
             raise ValueError("one_hot requires observed group indices")
-        if n_samples is not None and n_samples != self.z.size:
-            raise ValueError("sample count does not match group vector length")
         delta = np.zeros((self.z.size, self.n_groups))
         delta[np.arange(self.z.size), self.z] = 1.0
         return delta

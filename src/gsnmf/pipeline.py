@@ -245,12 +245,11 @@ def parameter_sweep(
     return ranked[0], reports
 
 
-def group_prevalence(E_v, labels, normalize: bool = False) -> np.ndarray:
+def group_prevalence(E_v, labels) -> np.ndarray:
     """Per-label accumulated coefficient mass: (C, I) matrix.
 
     Entry (c, i) is the l1 mass of feature i over samples of label c,
-    divided by the label's sample count. ``normalize`` rescales each row to
-    sum to 1.
+    divided by the label's sample count.
     """
     coeffs = np.asarray(E_v, dtype=float)
     y = np.asarray(labels, dtype=int)
@@ -263,7 +262,4 @@ def group_prevalence(E_v, labels, normalize: bool = False) -> np.ndarray:
     out = np.zeros((n_classes, coeffs.shape[0]))
     for c in range(n_classes):
         out[c] = np.abs(coeffs[:, y == c]).sum(axis=1) / counts[c]
-    if normalize:
-        sums = out.sum(axis=1, keepdims=True)
-        out = out / np.where(sums > 0.0, sums, 1.0)
     return out

@@ -122,7 +122,8 @@ def project_matrix(dictionary, samples, tol: float = 1e-8) -> np.ndarray:
     coeffs = np.empty((A.shape[1], S.shape[1]))
     stuck = []
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # zero-column warning raised once below
+        # nnls warns about zero columns on every column; warned once below.
+        warnings.filterwarnings("ignore", r"dropping \d+ all-zero dictionary column")
         zero_cols = int((np.linalg.norm(A, axis=0) == 0.0).sum())
         for m in range(S.shape[1]):
             sol = nnls(A, S[:, m], tol=tol)

@@ -6,6 +6,7 @@ import pytest
 from gsnmf import engine
 from gsnmf.engine import (
     FitConfig,
+    FitResult,
     NumericalError,
     fit,
     fit_restarts,
@@ -428,3 +429,24 @@ def test_numerical_error_names_the_restart_and_the_sweep(monkeypatch):
     with pytest.raises(NumericalError, match="Sigma_v at sweep 1 in restart 2") as info:
         fit_restarts(X, hyper, groups, FitConfig(max_sweeps=5), [1, 2, 3])
     assert info.value.restart == 2
+
+
+@pytest.mark.parametrize("mode", ["observed", "latent"])
+def test_state_derives_its_reconstruction_once(mode):
+    X, hyper, groups = small_problem(seed=14)
+    if mode == "latent":
+        groups = GroupAssignment.latent(hyper.dims[2])
+    state = update_sweep(init_state(hyper, groups, seed=8), X, hyper, groups)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.Delta = state.Delta.copy()
+    # A bound leaves the reconstruction on the state for the next sweep;
+    # a copy made by replace starts without it and must sweep to the same bits.
+    bounded = variational_bound(state, X, hyper, groups)
+    assert state.reconstruction is state.reconstruction
+    fresh = dataclasses.replace(state)
+    assert "reconstruction" not in vars(fresh)
+    assert_same_fit(
+        FitResult(update_sweep(state, X, hyper, groups)),
+        FitResult(update_sweep(fresh, X, hyper, groups)),
+    )
+    assert variational_bound(fresh, X, hyper, groups) == bounded

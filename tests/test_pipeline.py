@@ -243,13 +243,11 @@ def test_group_prevalence_block_structure():
     np.testing.assert_array_equal(prev, [[2.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 3.0]])
 
 
-def test_group_prevalence_uniform_and_normalized():
+def test_group_prevalence_uniform():
     E_v = np.full((3, 4), 0.5)
     labels = np.array([0, 0, 1, 1])
     prev = group_prevalence(E_v, labels)
     assert np.ptp(prev) == 0.0
-    normalized = group_prevalence(E_v, labels, normalize=True)
-    np.testing.assert_allclose(normalized.sum(axis=1), 1.0)
 
 
 def test_group_prevalence_validates():

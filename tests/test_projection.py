@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsnmf.projection import nnls, project_matrix
 from oracles import grid_search_nnls_2d, random_two_column_instance
@@ -128,3 +133,54 @@ def test_project_matrix_scales_along_a_ray():
 def test_project_matrix_validates_shapes():
     with pytest.raises(ValueError):
         project_matrix(np.eye(3), np.ones((4, 2)))
+
+
+def test_project_matrix_silences_only_the_per_column_zero_warning():
+    # A numpy RuntimeWarning inside the solve reaches the caller.
+    A = np.array([[1.0, 0.5], [0.2, 1.0], [0.3, 0.3]])
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        project_matrix(A, np.full((3, 1), 1e308))
+    # nnls's per-column zero-column warning collapses into one.
+    A = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        project_matrix(A, np.ones((3, 4)))
+    assert [str(w.message) for w in caught] == ["dictionary has 1 all-zero column(s)"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=12),
+    base=st.integers(min_value=1, max_value=4),
+    copies=st.lists(st.sampled_from(["duplicate", "scaled", "zero"]), max_size=5),
+    samples=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_project_matrix_on_degenerate_dictionaries(rows, base, copies, samples, seed):
+    # Rank-deficient dictionaries (repeated or rescaled columns) and all-zero
+    # columns, shuffled; targets mix in-cone combinations with arbitrary vectors.
+    rng = np.random.default_rng(seed)
+    columns = list(rng.random((base, rows)) + 0.05)
+    for kind in copies:
+        pick = columns[rng.integers(base)]
+        if kind == "duplicate":
+            columns.append(pick.copy())
+        elif kind == "scaled":
+            columns.append(pick * 10.0 ** rng.uniform(-3.0, 3.0))
+        else:
+            columns.append(np.zeros(rows))
+    A = np.column_stack(columns)[:, rng.permutation(len(columns))]
+    in_cone = A @ (rng.random((A.shape[1], samples)) * (rng.random((A.shape[1], samples)) < 0.5))
+    S = np.where(rng.random(samples) < 0.5, in_cone, rng.normal(size=(rows, samples)))
+
+    zero = np.linalg.norm(A, axis=0) == 0.0
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "dictionary has")
+        coeffs = project_matrix(A, S)
+    assert (coeffs >= 0.0).all()
+    assert (coeffs[zero] == 0.0).all()
+    for m in range(samples):
+        reference = scipy.optimize.nnls(A, S[:, m])[1]
+        residual = np.linalg.norm(S[:, m] - A @ coeffs[:, m])
+        scale = max(reference, np.linalg.norm(S[:, m]))
+        assert abs(residual - reference) <= 1e-8 * scale
