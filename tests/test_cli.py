@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -215,12 +216,12 @@ def test_truncated_archive_exits_3(tmp_path):
     assert "truncated archive header" in r.stderr
 
 
-def small_fit(tmp_path):
-    """Write a 4 x 6 all-ones data file X.bin; return a two-sweep fit to it."""
-    hyper = PriorSettings(per_group=1).hyperparameters(4, 2, 6)
+def small_fit(tmp_path, rows=4):
+    """Write a rows x 6 all-ones data file X.bin; return a two-sweep fit to it."""
+    hyper = PriorSettings(per_group=1).hyperparameters(rows, 2, 6)
     groups = GroupAssignment(2, np.arange(6) % 2)
-    io.save_matrix(np.ones((4, 6)), tmp_path / "X.bin", "binary")
-    return hyper, groups, fit(np.ones((4, 6)), hyper, groups, FitConfig(max_sweeps=2))
+    io.save_matrix(np.ones((rows, 6)), tmp_path / "X.bin", "binary")
+    return hyper, groups, fit(np.ones((rows, 6)), hyper, groups, FitConfig(max_sweeps=2))
 
 
 def test_project_on_a_zero_scale_archive_exits_3(tmp_path):
@@ -230,6 +231,23 @@ def test_project_on_a_zero_scale_archive_exits_3(tmp_path):
     r = run_cli(["project", "--model", "m.gsnm", "--data", "X.bin", "--out", "V.csv"], tmp_path)
     assert r.returncode == 3, r.stderr
     assert "bad gamma factor" in r.stderr
+    assert not (tmp_path / "V.csv").exists()
+
+
+def test_project_on_data_that_overflows_exits_3(tmp_path, capsys):
+    from gsnmf import cli
+
+    hyper, groups, result = small_fit(tmp_path, rows=30)
+    io.save_model(io.ModelArchive.from_fit(hyper, groups, result), tmp_path / "m.gsnm")
+    io.save_matrix(np.full((30, 2), 1e308), tmp_path / "big.bin", "binary")
+    # In process: the CLI child processes turn numpy's overflow warning into
+    # an error, which would stop the solve before its own check.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = cli.main(["project", "--model", str(tmp_path / "m.gsnm"),
+                         "--data", str(tmp_path / "big.bin"), "--out", str(tmp_path / "V.csv")])
+    assert code == 3
+    assert "sample column 0" in capsys.readouterr().err
     assert not (tmp_path / "V.csv").exists()
 
 

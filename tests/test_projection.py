@@ -6,6 +6,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsnmf import projection
 from gsnmf.projection import nnls, project_matrix
 from oracles import grid_search_nnls_2d, random_two_column_instance
 
@@ -107,6 +108,68 @@ def test_rejects_bad_arguments():
         nnls(np.eye(2), np.ones(2), tol=0.0)
 
 
+def test_rejects_targets_that_overflow():
+    A = np.array([[1.0, 0.5], [0.2, 1.0], [0.3, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="float64"):
+            nnls(A, np.full(3, 1e308))
+        with pytest.raises(ValueError, match="sample column 1"):
+            project_matrix(A, np.column_stack([np.ones(3), np.full(3, 1e308)]))
+
+
+def test_ill_conditioned_support_falls_back_to_lstsq(monkeypatch):
+    # The support {a, a + 1e-4 e} has a Gram block with condition number
+    # about 2e9, past the Cholesky check, so it is solved on A[:, F].
+    a = np.array([2.0, 2.0, 2.0, 2.0, 0.0])
+    e = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
+    c = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+    A = np.column_stack([a, a + 1e-4 * e, c])
+    b = 2.0 * a + 1e-4 * e
+    assert np.linalg.cond(A[:, :2].T @ A[:, :2]) > 1e9
+    solved = []
+    lstsq = np.linalg.lstsq
+
+    def spy(matrix, rhs, rcond=None):
+        solved.append(matrix.shape)
+        return lstsq(matrix, rhs, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    sol = nnls(A, b)
+    assert (5, 2) in solved
+    np.testing.assert_allclose(sol.coefficients, [1.0, 1.0, 0.0], atol=1e-10)
+    reference = scipy.optimize.nnls(A, b)[1]
+    assert abs(sol.residual_norm - reference) <= 1e-8 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[5.0, 2.0], [8.0, 3.0]], [8.0, 0.0]),
+    ([[8.0, 9.0], [3.0, 3.0]], [7.0, 8.0]),
+    ([[7.0, 8.0], [4.0, 4.0], [2.0, 2.0]], [4.0, 9.0, 2.0]),
+    ([[2.0, 5.0, 1.0], [8.0, 5.0, 3.0], [1.0, 1.0, 1.0]], [1.0, 7.0, 8.0]),
+])
+def test_step_back_leaves_the_blocking_coefficient_at_zero(A, b):
+    # On these the Gram solves round the blocking coefficient of the step
+    # back to a hair above zero; unless it is zeroed, the step back repeats
+    # on the same free set forever.
+    A, b = np.array(A), np.array(b)
+    sol = nnls(A, b)
+    reference, residual = scipy.optimize.nnls(A, b)
+    np.testing.assert_allclose(sol.coefficients, reference, atol=1e-12)
+    assert sol.residual_norm == pytest.approx(residual, rel=1e-12)
+
+
+def test_support_matches_scipy_on_well_conditioned_instances():
+    # The Gram form takes the same active-set path as scipy's solver.
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        I = int(rng.integers(1, 8))
+        A = rng.random((int(rng.integers(I, 20)), I))
+        b = rng.normal(size=A.shape[0]) if rng.random() < 0.5 else rng.random(A.shape[0]) * 3.0
+        sol = nnls(A, b)
+        np.testing.assert_array_equal(sol.coefficients > 0.0, scipy.optimize.nnls(A, b)[0] > 0.0)
+
+
 def test_project_matrix_recovers_dictionary_columns():
     rng = np.random.default_rng(13)
     D = rng.random((8, 3)) + 0.1
@@ -184,3 +247,44 @@ def test_project_matrix_on_degenerate_dictionaries(rows, base, copies, samples, 
         residual = np.linalg.norm(S[:, m] - A @ coeffs[:, m])
         scale = max(reference, np.linalg.norm(S[:, m]))
         assert abs(residual - reference) <= 1e-8 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=24),
+    cols=st.integers(min_value=1, max_value=8),
+    rank=st.integers(min_value=1, max_value=8),
+    log_condition=st.floats(min_value=0.0, max_value=8.0),
+    spread=st.sampled_from(["collinear", "scaled"]),
+    in_cone=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_gram_form_loses_no_accuracy_on_ill_conditioned_dictionaries(
+    rows, cols, rank, log_condition, spread, in_cone, seed
+):
+    # Nonnegative dictionaries with condition numbers up to about 1e8: nearly
+    # collinear columns (rank-limited plus a small perturbation) or columns
+    # of very different scale. The Gram form squares the condition number;
+    # its residual must match scipy's within 1e-8 of max(ref, ||b||), beyond
+    # what the same active-set method with every support solved by lstsq on
+    # A[:, F] already misses. (Both miss by more on some in-cone targets,
+    # where the absolute tol stops the active set early.)
+    rng = np.random.default_rng(seed)
+    kappa = 10.0**log_condition
+    if spread == "collinear":
+        rank = min(rank, cols)
+        A = rng.random((rows, rank)) @ rng.random((rank, cols)) + rng.random((rows, cols)) / kappa
+    else:
+        A = rng.random((rows, cols)) * kappa ** rng.random(cols)
+    if in_cone:
+        b = A @ (rng.random(cols) * (rng.random(cols) < 0.5))
+    else:
+        b = rng.random(rows) * A.mean() * cols
+
+    reference = scipy.optimize.nnls(A, b)[1]
+    scale = max(reference, np.linalg.norm(b))
+    gram = nnls(A, b).residual_norm
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projection, "_MAX_CHOLESKY_RATIO", 0.0)
+        least_squares = nnls(A, b).residual_norm
+    assert abs(gram - reference) <= abs(least_squares - reference) + 1e-8 * scale
