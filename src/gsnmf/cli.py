@@ -205,6 +205,8 @@ def _cmd_train(args) -> str:
         raise DataError("--labels is required in observed mode")
     elif args.per_group is None:
         raise DataError("latent mode without labels needs --per-group to fix the group count")
+    elif args.per_group < 1:
+        raise DataError(f"--per-group must be >= 1, got {args.per_group}")
     else:
         C = I // args.per_group
         if C < 1:

@@ -7,24 +7,29 @@ only) the categorical group responsibilities and their Dirichlet weights.
 Each update uses the freshest values of the other factors, so the evidence
 lower bound is non-decreasing sweep over sweep.
 
-Restarts that share the data and the prior run as one batch: the arrays
-of a ``VariationalState`` that differ between restarts carry a leading
-restart axis ``(R, ...)``; the others (observed-mode ``Delta``, ``Pi`` and
-rate-indicator shapes) stay 2-D and shared. The sweep, the reconstruction
-and the bound use negative axes and ``np.swapaxes(., -1, -2)``, so one
-code path serves a single state and a batch. numpy's stacked matmul makes
-one BLAS call per restart and every reduction stays within a restart, so
-each restart is bitwise the fit of its own seed. Batching removes
-per-call overhead, which dominates at toy shapes, but its temporaries
-outgrow the cache at large ones. On a 2-vCPU host, batching was 2.7x
-faster than one restart at a time at 11.5k data cells (4 restarts, V=40,
-T=72), 1.1-2x at 60k-100k and 0.76-0.82x at 120k-160k (V=T=200), so a
-batch spans at most ``_BATCH_ELEMENTS`` cells (R·V·T).
+Restarts that share the prior run as one batch: the arrays of a
+``VariationalState`` that differ between restarts carry a leading restart
+axis ``(R, ...)``; the others stay 2-D and shared. The data matrix and the
+group assignment are either shared by every restart or given one per
+restart, as a crossvalidation gives each (run, fold) cell its own training
+columns and labels. Observed-mode ``Delta`` follows the assignment, so
+per-restart assignments put it on the restart axis; ``Pi`` and, with
+shared groups, the rate-indicator shapes stay shared. The sweep, the
+reconstruction and the bound use negative axes and
+``np.swapaxes(., -1, -2)``, so one code path serves a single state and a
+batch. numpy's stacked matmul makes one BLAS call per restart and every
+reduction stays within a restart, so each restart is bitwise the fit of
+its own seed, data and groups. Batching removes per-call overhead, which
+dominates at toy shapes, but its temporaries outgrow the cache at large
+ones. On a 2-vCPU host, batching was 2.7x faster than one restart at a
+time at 11.5k data cells (4 restarts, V=40, T=72), 1.1-2x at 60k-100k and
+0.76-0.82x at 120k-160k (V=T=200), so a batch spans at most
+``_BATCH_ELEMENTS`` cells (R·V·T).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,6 +48,7 @@ __all__ = [
     "fit",
     "fit_restarts",
     "multi_restart_fit",
+    "restarts_per_batch",
 ]
 
 # Smallest admissible Poisson-mixing denominator; entries of X over a
@@ -151,32 +157,41 @@ def _check_terms(name: str, terms, sweep: int | None):
     _require(np.isfinite(terms), f"non-finite bound contribution from the {name} terms", sweep)
 
 
-def _init_states(hyper: Hyperparameters, groups: GroupAssignment, seeds) -> VariationalState:
+def _start_responsibilities(groups: GroupAssignment, C: int, T: int) -> np.ndarray:
+    """(T, C) responsibilities: one-hot (observed) or uniform (latent)."""
+    if groups.n_groups != C:
+        raise ValueError("group count does not match hyperparameters")
+    if groups.observed and groups.z.size != T:
+        raise ValueError("group vector length does not match hyperparameters")
+    return groups.one_hot() if groups.observed else np.full((T, C), 1.0 / C)
+
+
+def _init_states(hyper: Hyperparameters, groups, seeds) -> VariationalState:
     """One starting point per seed, stacked on a leading restart axis.
 
     Each gamma factor starts at its prior shape: the dictionary and the rate
     indicators at their prior scale times uniform [0.5, 1.5] noise, the
     coefficients at shape 1 and that noise over their prior rate, the
     responsibility-weighted prior mean of the rate indicators.
-    Responsibilities start one-hot (observed) or uniform (latent); expected
-    log weights come from the Dirichlet prior rows. Both are shared.
+    Responsibilities start one-hot (observed) or uniform (latent): shared
+    for one ``GroupAssignment``, on the restart axis for one per seed.
+    Expected log weights come from the Dirichlet prior rows and are shared.
     """
     V, I, C, T = hyper.dims
-    if groups.n_groups != C:
-        raise ValueError("group count does not match hyperparameters")
-    if groups.observed and groups.z.size != T:
-        raise ValueError("group vector length does not match hyperparameters")
+    if isinstance(groups, GroupAssignment):
+        delta = _start_responsibilities(groups, C, T)
+    else:
+        delta = np.stack([_start_responsibilities(g, C, T) for g in groups])
 
-    delta = groups.one_hot() if groups.observed else np.full((T, C), 1.0 / C)
-
-    # Each seed draws its noise for t, v and lam in that order.
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    u_t, u_v, u_lam = (
-        np.stack([rng.uniform(0.5, 1.5, size=shape) for rng in rngs])
-        for shape in ((V, I), (I, T), (I, C))
-    )
+    # Each seed draws its noise for t, v and lam in that order, from one
+    # generator at a time.
+    shapes = ((V, I), (I, T), (I, C))
+    u_t, u_v, u_lam = (np.empty((len(seeds),) + shape) for shape in shapes)
+    for j, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        u_t[j], u_v[j], u_lam[j] = (rng.uniform(0.5, 1.5, size=shape) for shape in shapes)
     t = GammaFactor(np.broadcast_to(hyper.A_t, u_t.shape).copy(), hyper.B_t * u_t)
-    prior_rate_v = (hyper.A_lambda * hyper.B_lambda) @ delta.T
+    prior_rate_v = (hyper.A_lambda * hyper.B_lambda) @ np.swapaxes(delta, -1, -2)
     v = GammaFactor(np.ones(u_v.shape), u_v / prior_rate_v)
     lam = GammaFactor(np.broadcast_to(hyper.A_lambda, u_lam.shape).copy(), hyper.B_lambda * u_lam)
 
@@ -199,17 +214,21 @@ def _sweep(
 ) -> VariationalState:
     """One full coordinate-ascent sweep of a state or a batch; returns a fresh state.
 
-    Cells of the data with value 0 contribute zero counts (their mixing
-    ratio is defined as 0); reconstruction denominators are floored at a
-    tiny positive value everywhere else.
+    ``X`` is (V, T), shared, or (R, V, T). Of ``groups`` only the mode
+    (observed or latent) is read; the assignment itself sits on ``Delta``.
+    Reconstruction denominators are floored at a tiny positive value, so
+    cells of the data with value 0 contribute zero counts.
     """
     exp_lt, exp_lv, denom = state.reconstruction
 
     # Count allocation: expected per-feature counts under the current
     # multinomial posterior, contracted over samples resp. dimensions.
-    xi = np.where(X > 0.0, X / denom, 0.0)
+    xi = X / denom
     Sigma_v = exp_lv * (np.swapaxes(exp_lt, -1, -2) @ xi)
     Sigma_t = exp_lt * (xi @ np.swapaxes(exp_lv, -1, -2))
+    # xi spans (R, V, T); freed here, it no longer adds to the peak of the
+    # digamma passes below.
+    del xi
     _check_finite("Sigma_v", Sigma_v, sweep)
     _check_finite("Sigma_t", Sigma_t, sweep)
 
@@ -269,12 +288,19 @@ class _BoundConstants:
     ``dictionary`` and ``rate`` are the gamma prior normalizers
     -sum(A log B + log-gamma(A)) of T and of the rate indicators; ``group``
     is the Dirichlet prior normalizer of the latent mode (0 when observed).
+    ``lgamma_counts`` is sum(log-gamma(X + 1)) of the data: one value for
+    shared data, an (R,) array with per-restart data.
     """
 
-    lgamma_counts: float
+    lgamma_counts: float | np.ndarray
     dictionary: float
     rate: float
     group: float
+
+
+def _lgamma_counts(data: np.ndarray):
+    """sum(log-gamma(X + 1)) of a (V, T) matrix, or of each matrix of an (R, V, T) stack."""
+    return np.sum(log_gamma(data + 1.0), axis=(-2, -1))
 
 
 def _bound_constants(data, hyper: Hyperparameters, groups: GroupAssignment) -> _BoundConstants:
@@ -282,7 +308,7 @@ def _bound_constants(data, hyper: Hyperparameters, groups: GroupAssignment) -> _
     if not groups.observed:
         group = float(np.sum(log_gamma(hyper.U.sum(axis=1))) - np.sum(log_gamma(hyper.U)))
     return _BoundConstants(
-        lgamma_counts=float(np.sum(log_gamma(data + 1.0))),
+        lgamma_counts=_lgamma_counts(data),
         dictionary=-float(np.sum(hyper.A_t * np.log(hyper.B_t) + log_gamma(hyper.A_t))),
         rate=-float(np.sum(hyper.A_lambda * np.log(hyper.B_lambda) + log_gamma(hyper.A_lambda))),
         group=group,
@@ -312,7 +338,7 @@ def variational_bound(
     cells = (-2, -1)
     t, v, lam = state.t, state.v, state.lam
     mixing = (
-        np.sum(np.where(X > 0.0, X * np.log(denom), 0.0), axis=cells)
+        np.sum(X * np.log(denom), axis=cells)
         - (t.mean.sum(axis=-2)[..., None, :] @ v.mean.sum(axis=-1)[..., :, None])[..., 0, 0]
         - constants.lgamma_counts
     )
@@ -369,40 +395,81 @@ class FitResult:
         return self.bound_trace[-1][1]
 
 
-def _fit_batch(X, hyper, groups, config: FitConfig, seeds: list[int], constants) -> list[FitResult]:
-    """Sweep one batch of restarts together for ``config.max_sweeps`` sweeps."""
+def _fit_batch(X, hyper, groups, mode, config: FitConfig, seeds, constants) -> list[FitResult]:
+    """Sweep one batch of restarts together for ``config.max_sweeps`` sweeps.
+
+    ``X`` is (V, T), shared, or (R, V, T); ``groups`` is one assignment or
+    one per seed, all in the mode (observed or latent) of ``mode``.
+    """
     state = _init_states(hyper, groups, seeds)
     traces: list[list[tuple[int, float]]] = [[] for _ in seeds]
     for sweep in range(1, config.max_sweeps + 1):
-        state = _sweep(state, X, hyper, groups, sweep)
+        state = _sweep(state, X, hyper, mode, sweep)
         if sweep % config.compute_bound_every and sweep != config.max_sweeps:
             continue
-        bounds = variational_bound(state, X, hyper, groups, sweep, constants=constants)
+        bounds = variational_bound(state, X, hyper, mode, sweep, constants=constants)
         for trace, bound in zip(traces, bounds):
             trace.append((sweep, float(bound)))
     return [FitResult(_take(state, j), traces[j], seed) for j, seed in enumerate(seeds)]
 
 
+def restarts_per_batch(n_rows: int, n_samples: int) -> int:
+    """How many restarts on (n_rows, n_samples) data one batch sweeps together."""
+    return max(1, _BATCH_ELEMENTS // (n_rows * n_samples))
+
+
 def fit_restarts(data, hyper, groups, config: FitConfig, seeds) -> list[FitResult]:
     """One fit per seed, in seed order, swept together in batches.
 
-    Every restart runs ``max_sweeps`` sweeps. The bound is recorded every
+    ``data`` is one (V, T) matrix shared by every seed, or one per seed: an
+    (R, V, T) array or a sequence of R matrices, in which one matrix object
+    may serve several seeds. ``groups`` is one ``GroupAssignment`` or a
+    sequence of one per seed, all observed or all latent. Every restart
+    runs ``max_sweeps`` sweeps. The bound is recorded every
     ``compute_bound_every`` sweeps and always at the final sweep, so every
     trace has the same sweep indices. Each result is bitwise the ``fit``
-    with its seed; ``config.seed`` and ``config.restarts`` are not read. A
-    ``NumericalError`` names the index of the failing seed.
+    with its seed, data and groups; ``config.seed`` and ``config.restarts``
+    are not read. A ``NumericalError`` names the index of the failing seed.
     """
-    X = as_data_matrix(data)
-    V, I, C, T = hyper.dims
-    if X.shape != (V, T):
-        raise ValueError(f"data shape {X.shape} does not match hyperparameters {(V, T)}")
     seeds = [int(s) for s in seeds]
-    constants = _bound_constants(X, hyper, groups)
-    size = max(1, _BATCH_ELEMENTS // (V * T))
+    V, I, C, T = hyper.dims
+    per_seed = len(data) > 0 and np.ndim(data[0]) == 2
+    matrices = [as_data_matrix(x) for x in data] if per_seed else [as_data_matrix(data)]
+    for x in matrices:
+        if x.shape != (V, T):
+            raise ValueError(f"data shape {x.shape} does not match hyperparameters {(V, T)}")
+    if per_seed and len(matrices) != len(seeds):
+        raise ValueError(f"{len(matrices)} data matrices for {len(seeds)} seeds")
+    shared_groups = isinstance(groups, GroupAssignment)
+    if not shared_groups and len(groups) != len(seeds):
+        raise ValueError(f"{len(groups)} group assignments for {len(seeds)} seeds")
+    if not seeds:
+        return []
+    if not shared_groups and len({g.observed for g in groups}) > 1:
+        raise ValueError("per-seed groups must be all observed or all latent")
+    # The sweep and the bound read only the mode; assignments sit on Delta.
+    mode = groups if shared_groups else groups[0]
+    constants = _bound_constants(matrices[0], hyper, mode)
+    if per_seed:
+        # One log-gamma pass per distinct matrix, with the bits of a shared one.
+        sums = {id(matrices[0]): constants.lgamma_counts}
+        for x in matrices:
+            if id(x) not in sums:
+                sums[id(x)] = _lgamma_counts(x)
+        lgamma_counts = np.array([sums[id(x)] for x in matrices])
+    size = restarts_per_batch(V, T)
     results: list[FitResult] = []
     for first in range(0, len(seeds), size):
+        batch = slice(first, first + size)
+        X, batch_constants = matrices[0], constants
+        if per_seed:
+            X = np.stack(matrices[batch])
+            batch_constants = replace(constants, lgamma_counts=lgamma_counts[batch])
+        batch_groups = groups if shared_groups else groups[batch]
         try:
-            results += _fit_batch(X, hyper, groups, config, seeds[first:first + size], constants)
+            results += _fit_batch(
+                X, hyper, batch_groups, mode, config, seeds[batch], batch_constants
+            )
         except NumericalError as exc:
             k = first + exc.restart
             raise NumericalError(f"{exc} in restart {k}", restart=k) from exc

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import FitConfig, NumericalError, fit_restarts
+from .engine import FitConfig, NumericalError, fit_restarts, restarts_per_batch
 from .model import GroupAssignment, PriorSettings, as_data_matrix
 from .projection import project_matrix
 
@@ -178,43 +178,65 @@ def evaluate(dataset: LabeledDataset, settings: PriorSettings, config: CvConfig)
     Per run x fold x restart: fit on the training columns with labels as
     groups (one group with ``settings.single_group``), project the held-out
     columns onto the fitted dictionary, and classify them against the
-    training coefficients. The restarts of a fold share one
-    ``fit_restarts`` call. The report never reads bound traces, so each fit
-    computes the bound once, at its last sweep. Seeds are pre-assigned per
-    cell, so the result does not depend on execution order. A
-    ``NumericalError`` is re-raised with the cell (run, fold, restart) in
-    its message; every other exception keeps its own type.
+    training coefficients. The prior depends on a fold only through its
+    training-set size, so the cells of one size, across runs and folds,
+    are fitted together: one ``fit_restarts`` call per engine batch
+    (``restarts_per_batch``), each cell with its own training columns and
+    groups. A call's states are scored and dropped before the next, so
+    memory stays that of one batch. The report never reads bound traces,
+    so each fit computes the bound once, at its last sweep. Seeds are
+    pre-assigned per cell, so the result does not depend on execution
+    order. A ``NumericalError`` is re-raised with the cell (run, fold,
+    restart) in its message; every other exception keeps its own type.
     """
     X = dataset.data
     y = dataset.labels
     seeds = _cell_seeds(config.seed, config.runs, config.folds, config.restarts)
-    acc = np.zeros((config.runs, config.folds, config.restarts))
-    fit_config = FitConfig(max_sweeps=config.sweeps, compute_bound_every=config.sweeps)
+    # Every (run, fold) with its columns, groups and restart seeds, listed
+    # by training-set size.
+    by_size: dict[int, list] = {}
     pos = 0
     for r in range(config.runs):
-        partition_seed = int(seeds[pos])
+        partition = stratified_folds(y, config.folds, int(seeds[pos]))
         pos += 1
-        folds = stratified_folds(y, config.folds, partition_seed)
-        for f, (train_idx, test_idx) in enumerate(folds):
-            t = train_idx.size
-            hyper = settings.hyperparameters(X.shape[0], dataset.n_classes, t)
+        for f, (train_idx, test_idx) in enumerate(partition):
             if settings.single_group:
-                groups = GroupAssignment(1, np.zeros(t, dtype=int))
+                groups = GroupAssignment(1, np.zeros(train_idx.size, dtype=int))
             else:
                 groups = GroupAssignment(dataset.n_classes, y[train_idx])
-            cell_seeds = seeds[pos:pos + config.restarts]
+            fold = (r, f, train_idx, test_idx, groups, seeds[pos:pos + config.restarts])
+            by_size.setdefault(train_idx.size, []).append(fold)
             pos += config.restarts
+
+    acc = np.zeros((config.runs, config.folds, config.restarts))
+    fit_config = FitConfig(max_sweeps=config.sweeps, compute_bound_every=config.sweeps)
+    for t, folds in by_size.items():
+        hyper = settings.hyperparameters(X.shape[0], dataset.n_classes, t)
+        cells = [(fold, k) for fold in folds for k in range(config.restarts)]
+        size = restarts_per_batch(X.shape[0], t)
+        for first in range(0, len(cells), size):
+            batch = cells[first:first + size]
+            # The restarts of a fold share one copy of its training columns.
+            in_batch = {id(fold): fold for fold, _ in batch}
+            train = {key: X[:, fold[2]] for key, fold in in_batch.items()}
             try:
-                results = fit_restarts(X[:, train_idx], hyper, groups, fit_config, cell_seeds)
+                results = fit_restarts(
+                    [train[id(fold)] for fold, _ in batch],
+                    hyper,
+                    [fold[4] for fold, _ in batch],
+                    fit_config,
+                    [fold[5][k] for fold, k in batch],
+                )
             except NumericalError as exc:
+                (r, f, *_), k = batch[exc.restart]
+                # The batch's own message, without the engine's index of the seed.
+                detail = exc.__cause__ or exc
                 raise NumericalError(
-                    f"fit failed at run {r}, fold {f}, restart {exc.restart}: {exc}",
-                    restart=exc.restart,
+                    f"fit failed at run {r}, fold {f}, restart {k}: {detail}", restart=k
                 ) from exc
-            for k, result in enumerate(results):
-                train_features = result.state.E_v
+            for ((r, f, train_idx, test_idx, _, _), k), result in zip(batch, results):
                 test_features = project_matrix(result.state.E_t, X[:, test_idx])
-                predicted = knn_cosine_classify(train_features, y[train_idx], test_features)
+                predicted = knn_cosine_classify(result.state.E_v, y[train_idx], test_features)
                 acc[r, f, k] = float(np.mean(predicted == y[test_idx]))
     return AccuracyReport(
         max_accuracy=float(acc.max(axis=2).mean()),

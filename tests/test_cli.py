@@ -297,6 +297,17 @@ def test_latent_mode_without_labels(tmp_path):
     assert archive.groups.n_groups == 2
 
 
+@pytest.mark.parametrize("per_group", ["0", "-2"])
+def test_latent_mode_without_labels_rejects_a_nonpositive_per_group(tmp_path, per_group):
+    r = run_cli(generate_args(), tmp_path)
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["train", "--data", "X.bin", "--dict-size", "4", "--per-group", per_group,
+                 "--mode", "latent", "--out", "m.gsnm"], tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert "--per-group must be >= 1" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_observed_mode_requires_labels(tmp_path):
     r = run_cli(generate_args(), tmp_path)
     assert r.returncode == 0, r.stderr

@@ -414,6 +414,36 @@ def test_batched_restarts_match_separate_fits_bitwise(mode, restarts, monkeypatc
         assert result.final_bound == variational_bound(state, X, hyper, groups)
 
 
+@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("mode", ["observed", "latent"])
+def test_per_seed_data_and_groups_match_separate_fits_bitwise(mode, stacked, monkeypatch):
+    problems = [small_problem(seed=s) for s in (20, 21, 22)]
+    hyper = problems[0][1]
+    data = [X for X, _, _ in problems]
+    groups = [g if mode == "observed" else GroupAssignment.latent(g.n_groups) for _, _, g in problems]
+    # Batches of two restarts, so a batch boundary falls inside.
+    monkeypatch.setattr(engine, "_BATCH_ELEMENTS", 2 * data[0].size)
+    config = FitConfig(max_sweeps=25, compute_bound_every=6)
+    seeds = [3, 17, 3]
+    results = fit_restarts(np.stack(data) if stacked else data, hyper, groups, config, seeds)
+    assert len(results) == len(seeds)
+    for X, g, seed, result in zip(data, groups, seeds, results):
+        assert_same_fit(result, fit(X, hyper, g, dataclasses.replace(config, seed=seed)))
+
+
+def test_per_seed_inputs_must_match_the_seeds():
+    X, hyper, groups = small_problem()
+    config = FitConfig(max_sweeps=1)
+    with pytest.raises(ValueError, match="2 data matrices for 3 seeds"):
+        fit_restarts([X, X], hyper, groups, config, [1, 2, 3])
+    with pytest.raises(ValueError, match="does not match"):
+        fit_restarts([X, X[:, :-1]], hyper, groups, config, [1, 2])
+    with pytest.raises(ValueError, match="1 group assignments for 2 seeds"):
+        fit_restarts(X, hyper, [groups], config, [1, 2])
+    with pytest.raises(ValueError, match="all observed or all latent"):
+        fit_restarts(X, hyper, [groups, GroupAssignment.latent(2)], config, [1, 2])
+
+
 def test_numerical_error_names_the_restart_and_the_sweep(monkeypatch):
     X, hyper, groups = small_problem()
     monkeypatch.setattr(engine, "_BATCH_ELEMENTS", 2 * X.size)

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from gsnmf.engine import FitConfig, fit_restarts
+from gsnmf.model import GroupAssignment
 from gsnmf.pipeline import (
     CvConfig,
     LabeledDataset,
     PriorSettings,
+    _cell_seeds,
     evaluate,
     group_prevalence,
     knn_cosine_classify,
     parameter_sweep,
     stratified_folds,
 )
+from gsnmf.projection import project_matrix
 from oracles import brute_force_cosine_neighbors
 
 
@@ -186,6 +190,110 @@ def test_evaluate_names_the_cell_of_a_numerical_failure(planted_dataset, monkeyp
     settings = PriorSettings(per_group=1, a_small=1.0, a_large=16.0, b_lambda=1.0)
     with pytest.raises(NumericalError, match="run 0, fold 0, restart 0: .*E_t at sweep 3"):
         evaluate(ds, settings, quick_cv(folds=3, runs=1, restarts=1, sweeps=5))
+
+
+def per_fold_reference(ds, settings, config):
+    """The per-fold path: one shared-data ``fit_restarts`` call per (run, fold).
+
+    Returns the accuracy tensor and every fit by its seed.
+    """
+    X, y = ds.data, ds.labels
+    seeds = _cell_seeds(config.seed, config.runs, config.folds, config.restarts)
+    fit_config = FitConfig(max_sweeps=config.sweeps, compute_bound_every=config.sweeps)
+    acc = np.zeros((config.runs, config.folds, config.restarts))
+    fits = {}
+    pos = 0
+    for r in range(config.runs):
+        folds = stratified_folds(y, config.folds, int(seeds[pos]))
+        pos += 1
+        for f, (train, test) in enumerate(folds):
+            hyper = settings.hyperparameters(X.shape[0], ds.n_classes, train.size)
+            if settings.single_group:
+                groups = GroupAssignment(1, np.zeros(train.size, dtype=int))
+            else:
+                groups = GroupAssignment(ds.n_classes, y[train])
+            cell_seeds = seeds[pos:pos + config.restarts]
+            pos += config.restarts
+            for k, result in enumerate(fit_restarts(X[:, train], hyper, groups, fit_config, cell_seeds)):
+                fits[result.seed] = result
+                predicted = knn_cosine_classify(
+                    result.state.E_v, y[train], project_matrix(result.state.E_t, X[:, test])
+                )
+                acc[r, f, k] = np.mean(predicted == y[test])
+    return acc, fits
+
+
+@pytest.mark.parametrize("batch_cells, n_calls", [(None, 2), (3, 6)])
+@pytest.mark.parametrize("single_group", [False, True])
+def test_cross_fold_batches_match_the_per_fold_path_bitwise(
+    planted_dataset, monkeypatch, single_group, batch_cells, n_calls
+):
+    from gsnmf import engine, pipeline
+
+    # 90 samples in 4 folds: training sets of 67 and 68 columns, so two
+    # prior shapes, each shared by 8 cells from folds of both runs. With
+    # batches of 3 cells, each shape takes 3 calls, split inside folds.
+    ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
+    settings = PriorSettings(
+        per_group=2, a_small=1.0, a_large=64.0, b_lambda=1.0, single_group=single_group
+    )
+    config = quick_cv(folds=4, runs=2, restarts=2, sweeps=15, seed=3)
+    if batch_cells:
+        monkeypatch.setattr(engine, "_BATCH_ELEMENTS", batch_cells * 40 * 68)
+    calls = []
+
+    def recording(*args):
+        results = fit_restarts(*args)
+        calls.append(results)
+        return results
+
+    monkeypatch.setattr(pipeline, "fit_restarts", recording)
+    report = evaluate(ds, settings, config)
+    monkeypatch.undo()
+    acc, reference = per_fold_reference(ds, settings, config)
+    np.testing.assert_array_equal(report.per_fold, acc)
+    assert len(calls) == n_calls
+    fits = [result for results in calls for result in results]
+    assert sorted(r.seed for r in fits) == sorted(reference)
+    for result in fits:
+        expected = reference[result.seed]
+        np.testing.assert_array_equal(result.state.E_t, expected.state.E_t)
+        np.testing.assert_array_equal(result.state.E_v, expected.state.E_v)
+        assert result.bound_trace == expected.bound_trace
+
+
+@pytest.mark.parametrize("batch_cells", [None, 3])
+def test_numerical_failure_in_a_cross_fold_batch_names_its_cell(
+    planted_dataset, monkeypatch, batch_cells
+):
+    from gsnmf import engine
+    from gsnmf.engine import NumericalError
+
+    config = quick_cv(folds=4, runs=2, restarts=2, sweeps=5, seed=3)
+    if batch_cells:
+        monkeypatch.setattr(engine, "_BATCH_ELEMENTS", batch_cells * 40 * 68)
+    # Run 1, fold 2, restart 1: the sixth cell of 68 training columns, after
+    # folds 2 and 3 of run 0; the third of its call with batches of 3.
+    seeds = _cell_seeds(config.seed, config.runs, config.folds, config.restarts)
+    target = int(seeds[(1 + 4 * 2) + 1 + 2 * 2 + 1])
+    start = engine._init_states
+
+    def poisoned(hyper, groups, batch_seeds):
+        state = start(hyper, groups, batch_seeds)
+        for j, seed in enumerate(batch_seeds):
+            if seed == target:
+                state.t.log_mean[j, 0, 0] = np.nan
+        return state
+
+    monkeypatch.setattr(engine, "_init_states", poisoned)
+    ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
+    settings = PriorSettings(per_group=1, a_small=1.0, a_large=16.0, b_lambda=1.0)
+    with pytest.raises(NumericalError) as info:
+        evaluate(ds, settings, config)
+    assert str(info.value) == (
+        "fit failed at run 1, fold 2, restart 1: non-finite values in Sigma_v at sweep 1"
+    )
+    assert info.value.restart == 1
 
 
 def test_report_accuracy_statistics_are_consistent(planted_dataset):
