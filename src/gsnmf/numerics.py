@@ -116,8 +116,8 @@ def digamma(x):
     # sums the rows of an (8, n) block one by one, but the 8 terms of a lone
     # entry pairwise; accumulate those one by one too, so an entry's result
     # does not depend on what else is in the array.
-    recip = np.reciprocal(block)
-    out[small] -= np.add.accumulate(recip)[-1] if small.size == 1 else recip.sum(axis=0)
+    np.reciprocal(block, out=block)
+    out[small] -= np.add.accumulate(block)[-1] if small.size == 1 else block.sum(axis=0)
     out = out.reshape(arr.shape)
     return float(out) if scalar else out
 

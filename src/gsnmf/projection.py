@@ -1,19 +1,20 @@
 """Nonnegative least squares for mapping held-out samples onto a dictionary.
 
-The solver is the classic active-set method (Lawson and Hanson): start with
-every coefficient clamped at zero, repeatedly free the most violated
-constraint, solve the unconstrained subproblem on the free set, and step back
-toward feasibility whenever the subproblem leaves the nonnegative orthant.
+Active set (Lawson and Hanson) in Gram form (Bro and De Jong, J. Chemometrics
+11, 1997): free the most violated constraint, solve ``G[F, F] z = (A^T b)[F]``
+with ``G = A^T A`` on the free set F, and step back toward feasibility when z
+leaves the nonnegative orthant. A Gram block that fails a Cholesky check (it
+raises, or its diagonal spans more than ``_MAX_CHOLESKY_RATIO``, a condition
+number of about 1e8) is solved by least squares on ``A[:, F]`` instead.
 
-It works in Gram form (Bro and De Jong, "A fast non-negativity-constrained
-least squares algorithm", J. Chemometrics 11, 1997): each call forms
-``G = A^T A`` and ``A^T b`` once, every free-set subproblem is the small
-system ``G[F, F] z = (A^T b)[F]`` and the gradient is ``A^T b - G x``. The
-normal equations square the condition number, so a free set whose Gram block
-fails a Cholesky check (the factorization raises, or its diagonal spans more
-than ``_MAX_CHOLESKY_RATIO``, a block condition number of about 1e8) is
-solved by least squares on ``A[:, F]`` instead. Residual norms are always
-computed from ``A`` and ``b``.
+A (V, M) block of targets runs in lockstep (Van Benthem and Keenan, J.
+Chemometrics 18, 2004): each outer iteration frees a coordinate in every column
+still iterating and solves the free sets of each size with one stacked Cholesky
+check and one stacked solve. numpy's stacked matmul, Cholesky and solve make
+the same BLAS or LAPACK call per item as on one column; with products taken as
+stacks of matrix-vector products and free sets grouped by exact size (never
+padded), each column is bitwise its own solve. ``project_matrix`` blocks hold
+at most ``_BLOCK_ELEMENTS`` sample entries.
 """
 
 from __future__ import annotations
@@ -28,17 +29,22 @@ __all__ = ["NnlsSolution", "nnls", "project_matrix"]
 
 @dataclass(frozen=True)
 class NnlsSolution:
-    """Outcome of one nonnegative least-squares solve.
+    """Outcome of one nonnegative least-squares solve of a target or a block.
 
-    ``optimal`` is False when the iteration cap was hit before the
-    Karush-Kuhn-Tucker conditions were met; the coefficients then hold the
-    best iterate found.
+    A (V,) target gives (I,) ``coefficients`` and a float ``residual_norm``, a
+    (V, M) block (I, M) and (M,); ``iterations`` sums over columns. ``capped``
+    lists the columns that hit the iteration cap before the KKT conditions
+    held (they return their best iterate); ``optimal`` is True if none did.
     """
 
     coefficients: np.ndarray
-    residual_norm: float
+    residual_norm: float | np.ndarray
     iterations: int
-    optimal: bool = True
+    capped: tuple[int, ...] = ()
+
+    @property
+    def optimal(self) -> bool:
+        return not self.capped
 
 
 # Largest ratio between the diagonal entries of a Gram block's Cholesky factor
@@ -46,142 +52,182 @@ class NnlsSolution:
 # roughly the square of this ratio.
 _MAX_CHOLESKY_RATIO = 1e4
 
+# Sample entries (V x columns) per project_matrix block; bounds its (columns, V) temporaries.
+_BLOCK_ELEMENTS = 2**15
 
-def _solve_on_support(
-    G: np.ndarray, Atb: np.ndarray, A: np.ndarray, b: np.ndarray, support: np.ndarray
-) -> np.ndarray:
-    z = np.zeros(G.shape[0])
-    F = np.flatnonzero(support)
-    if F.size == 0:
-        return z
-    block = G[F[:, None], F]
+_TOO_LARGE = "dictionary or target too large (or not finite) to solve in float64"
+
+
+class _UnsolvableColumn(ValueError):
+    def __init__(self, column: int, block: bool):
+        super().__init__(f"target column {column}: {_TOO_LARGE}" if block else _TOO_LARGE)
+        self.column = column
+
+
+def _matvec(matrix, rows):
+    """``matrix @ r`` for each row r, one matrix-vector product per row."""
+    return (matrix @ rows[:, :, None])[:, :, 0]
+
+
+def _norms(rows):
+    """Euclidean norm of each row, with the bits of ``np.linalg.norm``."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
+def _well_conditioned(blocks):
     try:
-        # Python floats: at a few columns numpy's reductions cost more than
-        # the factorization.
-        diagonal = np.linalg.cholesky(block).diagonal().tolist()
-        well_conditioned = max(diagonal) <= _MAX_CHOLESKY_RATIO * min(diagonal)
+        diagonals = np.linalg.cholesky(blocks).diagonal(axis1=1, axis2=2)
     except np.linalg.LinAlgError:
-        well_conditioned = False
-    if well_conditioned:
-        z[F] = np.linalg.solve(block, Atb[F])
-    else:
-        z[F] = np.linalg.lstsq(A[:, F], b, rcond=None)[0]
+        # One block that is not positive definite fails the whole stack.
+        return np.array([len(blocks) > 1 and _well_conditioned(one[None])[0] for one in blocks])
+    return diagonals.max(axis=1) <= _MAX_CHOLESKY_RATIO * diagonals.min(axis=1)
+
+
+def _solve_free_sets(G, Atb, A, B, free):
+    """Row r solves row r's free set and is 0 off it."""
+    z = np.zeros(free.shape)
+    sizes = free.sum(axis=1)
+    for size in sorted(set(sizes.tolist()) - {0}):  # np.unique imports numpy.ma (1.7 MiB)
+        rows = np.flatnonzero(sizes == size)
+        F = np.nonzero(free[rows])[1].reshape(rows.size, size)
+        blocks = G[F[:, :, None], F[:, None, :]]
+        direct = _well_conditioned(blocks)
+        solved = rows[direct, None]
+        rhs = Atb[solved, F[direct]][:, :, None]
+        z[solved, F[direct]] = np.linalg.solve(blocks[direct], rhs)[:, :, 0]
+        for r, support in zip(rows[~direct], F[~direct]):
+            z[r, support] = np.linalg.lstsq(A[:, support], B[r], rcond=None)[0]
     return z
 
 
-def nnls(
-    dictionary,
-    target,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
-) -> NnlsSolution:
+def _active_set(A, B, G, Atb, usable, tol, max_iter, target_norm=None):
+    """Coefficients, iteration counts and KKT flags of the targets in ``B``'s rows.
+
+    A row that hits the cap keeps its last iterate. Given ``target_norm``
+    (updated in place), every row returns its best iterate instead: the last
+    of least residual if at most the target's norm, else 0.
+    """
+    M, n = B.shape[0], A.shape[1]
+    x = np.zeros((M, n))
+    free = np.zeros((M, n), dtype=bool)
+    w = Atb.copy()
+    best_x, best_residual = x.copy(), target_norm
+    iterations = np.zeros(M, dtype=int)
+    optimal = np.zeros(M, dtype=bool)
+    live = np.arange(M)
+    while True:
+        gains = np.where(usable & ~free[live], w[live], -np.inf)
+        done = gains.max(axis=1, initial=-np.inf) <= tol
+        optimal[live[done]] = True
+        going = ~done & (iterations[live] < max_iter)
+        live = live[going]
+        if not live.size:
+            break
+        iterations[live] += 1
+        fs, xs, Bs, Atbs = free[live], x[live], B[live], Atb[live]
+        fs[np.arange(live.size), np.argmax(gains[going], axis=1)] = True
+        z = _solve_free_sets(G, Atbs, A, Bs, fs)
+        # Step back: each pass zeroes a free coordinate, so at most |free|
+        # passes. The blocking one is zeroed outright: rounding can leave it a
+        # hair above zero, and the same free set would be solved forever.
+        back = np.flatnonzero((fs & (z <= 0.0)).any(axis=1))
+        while back.size:
+            xr, zr, fr = xs[back], z[back], fs[back]
+            blocking = fr & (zr <= 0.0)
+            gaps = xr - zr
+            ratios = np.where(blocking, 0.0, np.inf)
+            np.divide(xr, gaps, out=ratios, where=blocking & (gaps > 0.0))
+            at, step = np.arange(back.size), np.argmin(ratios, axis=1)
+            xr = xr + ratios[at, step][:, None] * (zr - xr)
+            xr[at, step] = 0.0
+            fr &= xr > 0.0
+            xr[~fr] = 0.0
+            xs[back], fs[back] = xr, fr
+            z[back] = zr = _solve_free_sets(G, Atbs[back], A, Bs[back], fr)
+            back = back[(fr & (zr <= 0.0)).any(axis=1)]
+        x[live], free[live] = z, fs
+        if best_residual is not None:
+            residual = _norms(Bs - _matvec(A, z))
+            better = residual <= best_residual[live]
+            best_residual[live[better]] = residual[better]
+            best_x[live[better]] = z[better]
+        w[live] = Atbs - _matvec(G, z)
+    return (x if best_residual is None else best_x), iterations, optimal
+
+
+def nnls(dictionary, target, tol: float = 1e-8, max_iter: int | None = None) -> NnlsSolution:
     """Minimize ||target - dictionary @ v||_2 subject to v >= 0.
 
-    ``tol`` bounds the admissible KKT violation of gradient components; the
-    iteration cap defaults to 3 times the number of columns. All-zero
-    dictionary columns are excluded from the solve (their coefficient is 0)
-    and reported with a warning. Raises ``ValueError`` when ``A^T A``,
-    ``A^T b`` or the target's norm is not finite in float64.
+    ``target`` is a (V,) vector or a (V, M) block whose columns are solved
+    together, each with exactly the result it gets alone. ``tol`` bounds the
+    admissible KKT violation of gradient components; the iteration cap per
+    column defaults to 3 times the number of dictionary columns. All-zero
+    dictionary columns are excluded (coefficient 0) with a warning. Raises
+    ``ValueError`` when ``A^T A``, ``A^T b`` or a target's norm is not finite.
     """
     A = np.asarray(dictionary, dtype=float)
     b = np.asarray(target, dtype=float)
-    if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
-        raise ValueError("dictionary must be (V, I) and target length V")
+    if A.ndim != 2 or b.ndim not in (1, 2) or A.shape[0] != b.shape[0]:
+        raise ValueError("dictionary must be (V, I) and target (V,) or (V, M)")
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
-    n = A.shape[1]
     if max_iter is None:
-        max_iter = 3 * n
+        max_iter = 3 * A.shape[1]
 
+    # One row per target column, as a view: BLAS rounds ``A^T b`` differently
+    # for strided and contiguous b, so each column keeps the stride it has on
+    # its own. Norms are taken of contiguous rows, as numpy's are.
+    B = b.T if b.ndim == 2 else b[None, :]
     G = A.T @ A
-    Atb = A.T @ b
-    target_norm = float(np.linalg.norm(b))
-    if not (np.isfinite(G).all() and np.isfinite(Atb).all() and np.isfinite(target_norm)):
-        raise ValueError("dictionary or target too large (or not finite) to solve in float64")
+    Atb = _matvec(A.T, B)
+    target_norm = _norms(np.ascontiguousarray(B))
+    finite = np.isfinite(Atb).all(axis=1) & np.isfinite(target_norm)
+    if not (np.isfinite(G).all() and finite.all()):
+        raise _UnsolvableColumn(int(np.argmin(finite)), block=b.ndim == 2)
 
     usable = np.diag(G) > 0.0
     if not usable.all():
-        warnings.warn(
-            f"dropping {int((~usable).sum())} all-zero dictionary column(s)",
-            stacklevel=2,
-        )
-
-    x = np.zeros(n)
-    free = np.zeros(n, dtype=bool)
-    w = Atb
-    best_x = x
-    best_residual = target_norm
-    iterations = 0
-    optimal = False
-    while True:
-        candidates = usable & ~free
-        if not candidates.any() or w[candidates].max() <= tol:
-            optimal = True
-            break
-        if iterations >= max_iter:
-            break
-        iterations += 1
-        j = np.flatnonzero(candidates)[np.argmax(w[candidates])]
-        free[j] = True
-        z = _solve_on_support(G, Atb, A, b, free)
-        # Feasibility restoration: each pass zeroes at least one free
-        # coordinate, so this terminates after at most |free| passes. The
-        # coordinate that blocks the step is set to zero outright: rounding
-        # can leave it a hair above zero, and the same free set would then
-        # be solved again forever.
-        while (z[free] <= 0.0).any():
-            blocking = np.flatnonzero(free & (z <= 0.0))
-            gaps = x[blocking] - z[blocking]
-            ratios = np.where(gaps > 0.0, x[blocking] / np.where(gaps > 0.0, gaps, 1.0), 0.0)
-            step = np.argmin(ratios)
-            x = x + ratios[step] * (z - x)
-            x[blocking[step]] = 0.0
-            free &= x > 0.0
-            x[~free] = 0.0
-            z = _solve_on_support(G, Atb, A, b, free)
-        x = z
-        residual = float(np.linalg.norm(b - A @ x))
-        if residual <= best_residual:
-            best_residual = residual
-            best_x = x.copy()
-        w = Atb - G @ x
-
-    if not optimal:
-        x = best_x
-    residual = float(np.linalg.norm(b - A @ x))
-    return NnlsSolution(coefficients=x, residual_norm=residual, iterations=iterations, optimal=optimal)
+        warnings.warn(f"dropping {int((~usable).sum())} all-zero dictionary column(s)",
+                      stacklevel=2)
+    x, iterations, optimal = _active_set(A, B, G, Atb, usable, tol, max_iter)
+    # Only a capped column needs its iterates' residuals (it returns its best
+    # iterate): solve those columns again, tracking them.
+    capped = np.flatnonzero(~optimal)
+    x[capped] = _active_set(A, B[capped], G, Atb[capped], usable, tol, max_iter,
+                            target_norm[capped])[0]
+    residual = _norms(B - _matvec(A, x))
+    solved = (x[0], float(residual[0])) if b.ndim == 1 else (x.T, residual)
+    return NnlsSolution(*solved, int(iterations.sum()), tuple(capped.tolist()))
 
 
 def project_matrix(dictionary, samples, tol: float = 1e-8) -> np.ndarray:
     """Column-by-column NNLS coefficients of ``samples`` in the dictionary.
 
-    Returns the (I, M) coefficient matrix; columns whose solve hit the
-    iteration cap are reported with a single aggregated warning. A column
-    that cannot be solved in float64 raises ``ValueError`` naming it.
+    Returns the (I, M) coefficient matrix, solved by ``nnls`` a block of columns
+    at a time. Columns that hit the iteration cap are reported in one warning; a
+    column that cannot be solved in float64 raises ``ValueError`` naming it.
     """
     A = np.asarray(dictionary, dtype=float)
     S = np.asarray(samples, dtype=float)
     if S.ndim != 2 or S.shape[0] != A.shape[0]:
         raise ValueError("samples must be (V, M) with V matching the dictionary")
     coeffs = np.empty((A.shape[1], S.shape[1]))
+    width = max(1, _BLOCK_ELEMENTS // max(1, A.shape[0]))
     stuck = []
     with warnings.catch_warnings():
-        # nnls warns about zero columns on every column; warned once below.
+        # nnls warns about zero columns on every block; warned once below.
         warnings.filterwarnings("ignore", r"dropping \d+ all-zero dictionary column")
         zero_cols = int((np.linalg.norm(A, axis=0) == 0.0).sum())
-        for m in range(S.shape[1]):
+        for start in range(0, S.shape[1], width):
             try:
-                sol = nnls(A, S[:, m], tol=tol)
-            except ValueError as exc:
-                raise ValueError(f"sample column {m}: {exc}") from exc
-            coeffs[:, m] = sol.coefficients
-            if not sol.optimal:
-                stuck.append(m)
+                sol = nnls(A, S[:, start : start + width], tol=tol)
+            except _UnsolvableColumn as exc:
+                raise ValueError(f"sample column {start + exc.column}: {_TOO_LARGE}") from exc
+            coeffs[:, start : start + width] = sol.coefficients
+            stuck.extend(start + m for m in sol.capped)
     if zero_cols:
         warnings.warn(f"dictionary has {zero_cols} all-zero column(s)", stacklevel=2)
     if stuck:
-        warnings.warn(
-            f"nnls hit the iteration cap on {len(stuck)} column(s): {stuck[:10]}",
-            stacklevel=2,
-        )
+        warnings.warn(f"nnls hit the iteration cap on {len(stuck)} column(s): {stuck[:10]}",
+                      stacklevel=2)
     return coeffs

@@ -2,8 +2,8 @@
 
 Nothing here imports from gsnmf's numerical internals: the special-function
 oracle runs on mpmath, the evidence oracle on scipy quadrature, the NNLS
-oracle on a dense grid, and the scalar fixed-point oracle iterates the
-closed-form update equations directly on floats.
+oracles on a dense grid and as a one-target loop, and the scalar fixed-point
+oracle iterates the closed-form update equations directly on floats.
 """
 
 from __future__ import annotations
@@ -105,6 +105,67 @@ def grid_search_nnls_2d(
             best_val = vals[k]
             best = (c1[k[0]], grid[k[1]])
     return np.array(best)
+
+
+def column_loop_nnls(A: np.ndarray, b: np.ndarray, tol: float = 1e-8, max_iter=None):
+    """One target at a time: the Gram-form active set as a plain loop.
+
+    The arithmetic of ``gsnmf.projection.nnls`` on a single target, one
+    numpy call per step, so a lockstep block solve can be checked against it
+    bit for bit. Returns (coefficients, residual norm, iterations, optimal).
+    """
+    n = A.shape[1]
+    max_iter = 3 * n if max_iter is None else max_iter
+    G, Atb = A.T @ A, A.T @ b
+
+    def solve(free):
+        z = np.zeros(n)
+        F = np.flatnonzero(free)
+        if F.size:
+            block = G[F[:, None], F]
+            try:
+                diagonal = np.linalg.cholesky(block).diagonal().tolist()
+                direct = max(diagonal) <= 1e4 * min(diagonal)
+            except np.linalg.LinAlgError:
+                direct = False
+            if direct:
+                z[F] = np.linalg.solve(block, Atb[F])
+            else:
+                z[F] = np.linalg.lstsq(A[:, F], b, rcond=None)[0]
+        return z
+
+    usable = np.diag(G) > 0.0
+    x, free, w = np.zeros(n), np.zeros(n, dtype=bool), Atb
+    best_x, best_residual = x, float(np.linalg.norm(b))
+    iterations, optimal = 0, False
+    while True:
+        candidates = usable & ~free
+        if not candidates.any() or w[candidates].max() <= tol:
+            optimal = True
+            break
+        if iterations >= max_iter:
+            break
+        iterations += 1
+        free[np.flatnonzero(candidates)[np.argmax(w[candidates])]] = True
+        z = solve(free)
+        while (z[free] <= 0.0).any():
+            blocking = np.flatnonzero(free & (z <= 0.0))
+            gaps = x[blocking] - z[blocking]
+            ratios = np.where(gaps > 0.0, x[blocking] / np.where(gaps > 0.0, gaps, 1.0), 0.0)
+            step = np.argmin(ratios)
+            x = x + ratios[step] * (z - x)
+            x[blocking[step]] = 0.0
+            free &= x > 0.0
+            x[~free] = 0.0
+            z = solve(free)
+        x = z
+        residual = float(np.linalg.norm(b - A @ x))
+        if residual <= best_residual:
+            best_residual, best_x = residual, x.copy()
+        w = Atb - G @ x
+    if not optimal:
+        x = best_x
+    return x, float(np.linalg.norm(b - A @ x)), iterations, optimal
 
 
 def random_two_column_instance(rng: np.random.Generator, max_cosine: float = 0.85):

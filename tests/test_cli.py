@@ -8,6 +8,7 @@ from cli_launch import run_cli
 from gsnmf import io
 from gsnmf.engine import FitConfig, fit
 from gsnmf.model import GroupAssignment, PriorSettings
+from pgm_reader import load_pgm
 
 
 def generate_args(seed=7, dims="16,4,2,20"):
@@ -186,7 +187,7 @@ def test_prevalence_writes_heatmap(workspace):
         workspace,
     )
     assert r.returncode == 0, r.stderr
-    img = io.load_pgm(workspace / "heat.pgm")
+    img = load_pgm(workspace / "heat.pgm")
     assert img.shape == (2 * 6, 4 * 6)
 
 
@@ -248,6 +249,24 @@ def test_project_on_data_that_overflows_exits_3(tmp_path, capsys):
                          "--data", str(tmp_path / "big.bin"), "--out", str(tmp_path / "V.csv")])
     assert code == 3
     assert "sample column 0" in capsys.readouterr().err
+    assert not (tmp_path / "V.csv").exists()
+
+
+def test_project_names_an_overflowing_column_of_a_later_block(tmp_path, capsys, monkeypatch):
+    from gsnmf import cli, projection
+
+    hyper, groups, result = small_fit(tmp_path, rows=30)
+    io.save_model(io.ModelArchive.from_fit(hyper, groups, result), tmp_path / "m.gsnm")
+    data = np.ones((30, 5))
+    data[:, 3] = 1e308
+    io.save_matrix(data, tmp_path / "big.bin", "binary")
+    monkeypatch.setattr(projection, "_BLOCK_ELEMENTS", 2 * 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = cli.main(["project", "--model", str(tmp_path / "m.gsnm"),
+                         "--data", str(tmp_path / "big.bin"), "--out", str(tmp_path / "V.csv")])
+    assert code == 3
+    assert "sample column 3:" in capsys.readouterr().err
     assert not (tmp_path / "V.csv").exists()
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gsnmf import io
 from gsnmf.engine import FitConfig, fit
 from gsnmf.model import GroupAssignment, PriorSettings
+from pgm_reader import load_pgm
 
 
 @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -166,35 +167,35 @@ def test_pgm_round_trip_8_and_16_bit(tmp_path):
     rng = np.random.default_rng(1)
     img8 = rng.integers(0, 256, size=(9, 5)).astype(float)
     io.save_pgm(img8, tmp_path / "a.pgm")
-    np.testing.assert_array_equal(io.load_pgm(tmp_path / "a.pgm"), img8)
+    np.testing.assert_array_equal(load_pgm(tmp_path / "a.pgm"), img8)
     img16 = rng.integers(0, 60001, size=(4, 6)).astype(float)
     io.save_pgm(img16, tmp_path / "b.pgm", maxval=65535)
-    np.testing.assert_array_equal(io.load_pgm(tmp_path / "b.pgm"), img16)
+    np.testing.assert_array_equal(load_pgm(tmp_path / "b.pgm"), img16)
 
 
 def test_pgm_ascii_with_comments(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_text("P2\n# a comment\n3 2 # inline\n255\n0 10 20\n30 40 50\n")
-    np.testing.assert_array_equal(io.load_pgm(p), [[0, 10, 20], [30, 40, 50]])
+    np.testing.assert_array_equal(load_pgm(p), [[0, 10, 20], [30, 40, 50]])
 
 
 def test_pgm_error_cases(tmp_path):
     p = tmp_path / "bad.pgm"
     p.write_bytes(b"P6\n1 1\n255\n\x00")
     with pytest.raises(io.FormatError, match="magic"):
-        io.load_pgm(p)
+        load_pgm(p)
     p.write_bytes(b"P5\n2 2\n255\n\x00\x01")
     with pytest.raises(io.FormatError, match="truncated"):
-        io.load_pgm(p)
+        load_pgm(p)
     p.write_text("P2\n2 1\n255\n1 2 3\n")
     with pytest.raises(io.FormatError, match="expected"):
-        io.load_pgm(p)
+        load_pgm(p)
 
 
 def test_export_heatmap_zero_matrix_is_white(tmp_path):
     p = tmp_path / "h.pgm"
     io.export_heatmap(np.zeros((3, 4)), p, "magnitude", cell_px=5)
-    img = io.load_pgm(p)
+    img = load_pgm(p)
     assert img.shape == (15, 20)
     assert (img == 255.0).all()
 
@@ -202,7 +203,7 @@ def test_export_heatmap_zero_matrix_is_white(tmp_path):
 def test_export_heatmap_identity_has_dark_diagonal(tmp_path):
     p = tmp_path / "h.pgm"
     io.export_heatmap(np.eye(3), p, "magnitude", cell_px=2)
-    img = io.load_pgm(p)
+    img = load_pgm(p)
     assert img.shape == (6, 6)
     assert (img[:2, :2] == 0.0).all()
     assert (img[:2, 2:] == 255.0).all()
@@ -211,7 +212,7 @@ def test_export_heatmap_identity_has_dark_diagonal(tmp_path):
 def test_export_heatmap_hinton_square_sizes(tmp_path):
     p = tmp_path / "h.pgm"
     io.export_heatmap(np.array([[1.0, 0.25], [0.0, 1.0]]), p, "hinton", cell_px=8)
-    img = io.load_pgm(p)
+    img = load_pgm(p)
     assert img.shape == (16, 16)
     # full-value cell: 8x8 dark block; quarter-value: side 4; zero: none
     assert (img[:8, :8] == 0.0).all()

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from gsnmf import projection
 from gsnmf.projection import nnls, project_matrix
-from oracles import grid_search_nnls_2d, random_two_column_instance
+from oracles import column_loop_nnls, grid_search_nnls_2d, random_two_column_instance
 
 
 def kkt_violation(A, b, x, active_tol=0.0):
@@ -142,12 +143,15 @@ def test_ill_conditioned_support_falls_back_to_lstsq(monkeypatch):
     assert abs(sol.residual_norm - reference) <= 1e-8 * np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("A, b", [
+STEP_BACK_INSTANCES = [
     ([[5.0, 2.0], [8.0, 3.0]], [8.0, 0.0]),
     ([[8.0, 9.0], [3.0, 3.0]], [7.0, 8.0]),
     ([[7.0, 8.0], [4.0, 4.0], [2.0, 2.0]], [4.0, 9.0, 2.0]),
     ([[2.0, 5.0, 1.0], [8.0, 5.0, 3.0], [1.0, 1.0, 1.0]], [1.0, 7.0, 8.0]),
-])
+]
+
+
+@pytest.mark.parametrize("A, b", STEP_BACK_INSTANCES)
 def test_step_back_leaves_the_blocking_coefficient_at_zero(A, b):
     # On these the Gram solves round the blocking coefficient of the step
     # back to a hair above zero; unless it is zeroed, the step back repeats
@@ -196,6 +200,31 @@ def test_project_matrix_scales_along_a_ray():
 def test_project_matrix_validates_shapes():
     with pytest.raises(ValueError):
         project_matrix(np.eye(3), np.ones((4, 2)))
+
+
+def test_project_matrix_names_a_bad_column_in_a_later_block(monkeypatch):
+    A = np.array([[1.0, 0.5], [0.2, 1.0], [0.3, 0.3]])
+    S = np.ones((3, 5))
+    S[1, 3] = np.nan
+    monkeypatch.setattr(projection, "_BLOCK_ELEMENTS", 2 * A.shape[0])
+    with pytest.raises(ValueError, match="sample column 3: .*float64"):
+        project_matrix(A, S)
+    with pytest.raises(ValueError, match="target column 1: .*float64"):
+        nnls(A, S[:, 2:4])
+
+
+def test_project_matrix_is_bitwise_the_column_loop_at_image_size(monkeypatch):
+    # Products of 40-column dictionaries round differently as matrix-matrix
+    # products than as one matrix-vector product per column; every column
+    # must still match the one-target loop bit for bit, across 3 blocks.
+    rng = np.random.default_rng(23)
+    A = rng.gamma(0.5, 1.0, size=(300, 40))
+    S = rng.poisson(A @ (rng.gamma(1.0, 2.0, size=(40, 40)) * (rng.random((40, 40)) < 0.3)))
+    S = S.astype(float)
+    monkeypatch.setattr(projection, "_BLOCK_ELEMENTS", 300 * 16)
+    coeffs = project_matrix(A, S)
+    expected = np.column_stack([column_loop_nnls(A, S[:, m])[0] for m in range(S.shape[1])])
+    assert coeffs.tobytes() == expected.tobytes()
 
 
 def test_project_matrix_silences_only_the_per_column_zero_warning():
@@ -288,3 +317,72 @@ def test_gram_form_loses_no_accuracy_on_ill_conditioned_dictionaries(
         patch.setattr(projection, "_MAX_CHOLESKY_RATIO", 0.0)
         least_squares = nnls(A, b).residual_norm
     assert abs(gram - reference) <= abs(least_squares - reference) + 1e-8 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=10),
+    base=st.integers(min_value=1, max_value=5),
+    near_parallel=st.booleans(),
+    zero_columns=st.integers(min_value=0, max_value=2),
+    step_back=st.none() | st.sampled_from(range(len(STEP_BACK_INSTANCES))),
+    targets=st.lists(st.sampled_from(["zero", "in_cone", "random"]), min_size=1, max_size=12),
+    max_iter=st.sampled_from([None, 1]),
+    width=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_block_columns_are_bitwise_their_own_solves(
+    rows, base, near_parallel, zero_columns, step_back, targets, max_iter, width, seed
+):
+    # A block of targets, solved in lockstep by nnls or in blocks of `width`
+    # columns by project_matrix, gives every column the coefficients,
+    # residual, iterations and cap hit of its own solve, which are those of
+    # the one-target loop (column_loop_nnls). The dictionaries mix
+    # all-zero columns, a nearly parallel pair whose Gram block takes the
+    # lstsq fallback and the step-back instances above; max_iter=1 caps.
+    rng = np.random.default_rng(seed)
+    if step_back is None:
+        columns = list(rng.random((base, rows)) + 0.05)
+        picked = []
+        if near_parallel:
+            columns.append(columns[0] + 1e-5 * np.eye(rows)[rng.integers(rows)])
+            picked.append(1e3 * (columns[0] + columns[-1]))
+        columns += [np.zeros(rows)] * zero_columns
+        A = np.column_stack(columns)[:, rng.permutation(len(columns))]
+    else:
+        A, b = (np.array(v) for v in STEP_BACK_INSTANCES[step_back])
+        picked = [b]
+    V, I = A.shape
+    make = {
+        "zero": lambda: np.zeros(V),
+        "in_cone": lambda: A @ (rng.random(I) * (rng.random(I) < 0.7)),
+        "random": lambda: rng.normal(size=V),
+    }
+    S = np.column_stack(picked + [make[kind]() for kind in targets])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        singles = [nnls(A, S[:, m], max_iter=max_iter) for m in range(S.shape[1])]
+        block = nnls(A, S, max_iter=max_iter)
+    for m, single in enumerate(singles):
+        coefficients, *rest = column_loop_nnls(A, S[:, m], max_iter=max_iter)
+        assert single.coefficients.tobytes() == coefficients.tobytes()
+        assert [single.residual_norm, single.iterations, single.optimal] == rest
+    expected = np.column_stack([single.coefficients for single in singles])
+    capped = [m for m, single in enumerate(singles) if not single.optimal]
+    assert block.coefficients.tobytes() == expected.tobytes()
+    assert block.residual_norm.tobytes() == np.array([s.residual_norm for s in singles]).tobytes()
+    assert block.iterations == sum(single.iterations for single in singles)
+    assert block.capped == tuple(capped)
+    assert block.optimal == (not capped)
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        patch.setattr(projection, "_BLOCK_ELEMENTS", V * width)
+        patch.setattr(projection, "nnls", functools.partial(nnls, max_iter=max_iter))
+        coeffs = project_matrix(A, S)
+    assert coeffs.tobytes() == expected.tobytes()
+    cap_warnings = [str(w.message) for w in caught if "iteration cap" in str(w.message)]
+    assert cap_warnings == (
+        [f"nnls hit the iteration cap on {len(capped)} column(s): {capped[:10]}"] if capped else []
+    )
