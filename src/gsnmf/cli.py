@@ -348,7 +348,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         summary = _COMMANDS[args.command](args)
-    except (DataError, io.FormatError, ValueError, OSError) as exc:
+    # A size too large to allocate is bad input too, not a crash.
+    except (DataError, io.FormatError, ValueError, OSError, MemoryError) as exc:
         print(f"gsnmf {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

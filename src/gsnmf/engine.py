@@ -7,17 +7,17 @@ only) the categorical group responsibilities and their Dirichlet weights.
 Each update uses the freshest values of the other factors, so the evidence
 lower bound is non-decreasing sweep over sweep.
 
-Restarts that share the prior run as one batch: the arrays of a
-``VariationalState`` that differ between restarts carry a leading restart
-axis ``(R, ...)``; the others stay 2-D and shared. The data matrix and the
-group assignment are either shared by every restart or given one per
-restart, as a crossvalidation gives each (run, fold) cell its own training
-columns and labels. Observed-mode ``Delta`` follows the assignment, so
-per-restart assignments put it on the restart axis; ``Pi`` and, with
-shared groups, the rate-indicator shapes stay shared. The sweep, the
-reconstruction and the bound use negative axes and
-``np.swapaxes(., -1, -2)``, so one code path serves a single state and a
-batch. numpy's stacked matmul makes one BLAS call per restart and every
+Restarts that share the prior run as one batch, and every array of a
+batch carries a leading restart axis ``(R, ...)``: the state, the data
+and the group responsibilities alike. Each restart has its own (V, T)
+matrix and its own assignment, as a crossvalidation gives each (run,
+fold) cell its own training columns and labels; restarts that share one
+matrix read it through a broadcast view, not R copies, and ``Pi`` starts
+as a broadcast view of the Dirichlet prior's expected log weights. The
+sweep, the reconstruction and the bound use negative axes and
+``np.swapaxes(., -1, -2)``, so the same code serves a batch and the
+single state (no restart axis) of ``init_state`` and ``update_sweep``.
+numpy's stacked matmul makes one BLAS call per restart and every
 reduction stays within a restart, so each restart is bitwise the fit of
 its own seed, data and groups. Batching removes per-call overhead, which
 dominates at toy shapes, but its temporaries outgrow the cache at large
@@ -29,7 +29,7 @@ time at 11.5k data cells (4 restarts, V=40, T=72), 1.1-2x at 60k-100k and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -94,8 +94,8 @@ class VariationalState:
     (I, T) coefficients and the (I, C) rate indicators; Sigma_t / Sigma_v
     the count allocations summed over samples / dimensions, Delta the (T, C)
     group responsibilities (exact one-hot rows in observed mode) and Pi the
-    expected log mixture weights. In a batch, arrays that differ between
-    restarts carry a leading restart axis; the rest stay 2-D and shared.
+    expected log mixture weights. In a batch, every array carries a leading
+    restart axis.
     """
 
     t: GammaFactor
@@ -130,14 +130,10 @@ class VariationalState:
 
 
 def _take(state: VariationalState, index) -> VariationalState:
-    """Restart ``index`` of a batch, without the restart axis; 2-D arrays stay shared."""
-
-    def pick(a):
-        return a[index] if a.ndim > 2 else a
-
+    """Restart ``index`` of a batch, without the restart axis."""
     parts = {f.name: getattr(state, f.name) for f in fields(state)}
     return VariationalState(**{
-        name: GammaFactor(pick(a.alpha), pick(a.beta)) if isinstance(a, GammaFactor) else pick(a)
+        name: GammaFactor(a.alpha[index], a.beta[index]) if isinstance(a, GammaFactor) else a[index]
         for name, a in parts.items()
     })
 
@@ -173,15 +169,12 @@ def _init_states(hyper: Hyperparameters, groups, seeds) -> VariationalState:
     indicators at their prior scale times uniform [0.5, 1.5] noise, the
     coefficients at shape 1 and that noise over their prior rate, the
     responsibility-weighted prior mean of the rate indicators.
-    Responsibilities start one-hot (observed) or uniform (latent): shared
-    for one ``GroupAssignment``, on the restart axis for one per seed.
-    Expected log weights come from the Dirichlet prior rows and are shared.
+    Responsibilities start one-hot (observed) or uniform (latent), one
+    matrix per assignment. Expected log weights come from the Dirichlet
+    prior rows, one broadcast view for every restart.
     """
     V, I, C, T = hyper.dims
-    if isinstance(groups, GroupAssignment):
-        delta = _start_responsibilities(groups, C, T)
-    else:
-        delta = np.stack([_start_responsibilities(g, C, T) for g in groups])
+    delta = np.stack([_start_responsibilities(g, C, T) for g in groups])
 
     # Each seed draws its noise for t, v and lam in that order, from one
     # generator at a time.
@@ -195,14 +188,13 @@ def _init_states(hyper: Hyperparameters, groups, seeds) -> VariationalState:
     v = GammaFactor(np.ones(u_v.shape), u_v / prior_rate_v)
     lam = GammaFactor(np.broadcast_to(hyper.A_lambda, u_lam.shape).copy(), hyper.B_lambda * u_lam)
 
-    return VariationalState(
-        t, v, lam, np.zeros(u_t.shape), np.zeros(u_v.shape), delta, dirichlet_expected_log(hyper.U)
-    )
+    pi = np.broadcast_to(dirichlet_expected_log(hyper.U), delta.shape)
+    return VariationalState(t, v, lam, np.zeros(u_t.shape), np.zeros(u_v.shape), delta, pi)
 
 
 def init_state(hyper: Hyperparameters, groups: GroupAssignment, seed: int = 0) -> VariationalState:
     """Random starting point of one fit; see ``_init_states``."""
-    return _take(_init_states(hyper, groups, [seed]), 0)
+    return _take(_init_states(hyper, [groups], [seed]), 0)
 
 
 def _sweep(
@@ -214,8 +206,9 @@ def _sweep(
 ) -> VariationalState:
     """One full coordinate-ascent sweep of a state or a batch; returns a fresh state.
 
-    ``X`` is (V, T), shared, or (R, V, T). Of ``groups`` only the mode
-    (observed or latent) is read; the assignment itself sits on ``Delta``.
+    ``X`` is the (V, T) matrix of a single state or the (R, V, T) stack of a
+    batch, one matrix per restart. Of ``groups`` only the mode (observed or
+    latent) is read; the assignment itself sits on ``Delta``.
     Reconstruction denominators are floored at a tiny positive value, so
     cells of the data with value 0 contribute zero counts.
     """
@@ -288,8 +281,8 @@ class _BoundConstants:
     ``dictionary`` and ``rate`` are the gamma prior normalizers
     -sum(A log B + log-gamma(A)) of T and of the rate indicators; ``group``
     is the Dirichlet prior normalizer of the latent mode (0 when observed).
-    ``lgamma_counts`` is sum(log-gamma(X + 1)) of the data: one value for
-    shared data, an (R,) array with per-restart data.
+    ``lgamma_counts`` is sum(log-gamma(X + 1)) of each matrix of the data:
+    an (R,) array for a batch's stack, one value for a single (V, T) matrix.
     """
 
     lgamma_counts: float | np.ndarray
@@ -298,17 +291,12 @@ class _BoundConstants:
     group: float
 
 
-def _lgamma_counts(data: np.ndarray):
-    """sum(log-gamma(X + 1)) of a (V, T) matrix, or of each matrix of an (R, V, T) stack."""
-    return np.sum(log_gamma(data + 1.0), axis=(-2, -1))
-
-
 def _bound_constants(data, hyper: Hyperparameters, groups: GroupAssignment) -> _BoundConstants:
     group = 0.0
     if not groups.observed:
         group = float(np.sum(log_gamma(hyper.U.sum(axis=1))) - np.sum(log_gamma(hyper.U)))
     return _BoundConstants(
-        lgamma_counts=_lgamma_counts(data),
+        lgamma_counts=np.sum(log_gamma(data + 1.0), axis=(-2, -1)),
         dictionary=-float(np.sum(hyper.A_t * np.log(hyper.B_t) + log_gamma(hyper.A_t))),
         rate=-float(np.sum(hyper.A_lambda * np.log(hyper.B_lambda) + log_gamma(hyper.A_lambda))),
         group=group,
@@ -395,12 +383,15 @@ class FitResult:
         return self.bound_trace[-1][1]
 
 
-def _fit_batch(X, hyper, groups, mode, config: FitConfig, seeds, constants) -> list[FitResult]:
+def _fit_batch(X, hyper, groups, config: FitConfig, seeds) -> list[FitResult]:
     """Sweep one batch of restarts together for ``config.max_sweeps`` sweeps.
 
-    ``X`` is (V, T), shared, or (R, V, T); ``groups`` is one assignment or
-    one per seed, all in the mode (observed or latent) of ``mode``.
+    ``X`` is the (R, V, T) stack of the restarts' data and ``groups`` their
+    assignments, all observed or all latent.
     """
+    # The sweep and the bound read only the mode; assignments sit on Delta.
+    mode = groups[0]
+    constants = _bound_constants(X, hyper, mode)
     state = _init_states(hyper, groups, seeds)
     traces: list[list[tuple[int, float]]] = [[] for _ in seeds]
     for sweep in range(1, config.max_sweeps + 1):
@@ -424,8 +415,10 @@ def fit_restarts(data, hyper, groups, config: FitConfig, seeds) -> list[FitResul
     ``data`` is one (V, T) matrix shared by every seed, or one per seed: an
     (R, V, T) array or a sequence of R matrices, in which one matrix object
     may serve several seeds. ``groups`` is one ``GroupAssignment`` or a
-    sequence of one per seed, all observed or all latent. Every restart
-    runs ``max_sweeps`` sweeps. The bound is recorded every
+    sequence of one per seed, all observed or all latent. Both forms become
+    one matrix and one assignment per seed, and each batch an (R, V, T)
+    stack: a broadcast view when all its restarts share one matrix object.
+    Every restart runs ``max_sweeps`` sweeps. The bound is recorded every
     ``compute_bound_every`` sweeps and always at the final sweep, so every
     trace has the same sweep indices. Each result is bitwise the ``fit``
     with its seed, data and groups; ``config.seed`` and ``config.restarts``
@@ -438,38 +431,26 @@ def fit_restarts(data, hyper, groups, config: FitConfig, seeds) -> list[FitResul
     for x in matrices:
         if x.shape != (V, T):
             raise ValueError(f"data shape {x.shape} does not match hyperparameters {(V, T)}")
-    if per_seed and len(matrices) != len(seeds):
-        raise ValueError(f"{len(matrices)} data matrices for {len(seeds)} seeds")
-    shared_groups = isinstance(groups, GroupAssignment)
-    if not shared_groups and len(groups) != len(seeds):
-        raise ValueError(f"{len(groups)} group assignments for {len(seeds)} seeds")
-    if not seeds:
-        return []
-    if not shared_groups and len({g.observed for g in groups}) > 1:
+    if not per_seed:
+        matrices *= len(seeds)
+    if isinstance(groups, GroupAssignment):
+        groups = [groups] * len(seeds)
+    for what, given in (("data matrices", matrices), ("group assignments", groups)):
+        if len(given) != len(seeds):
+            raise ValueError(f"{len(given)} {what} for {len(seeds)} seeds")
+    if len({g.observed for g in groups}) > 1:
         raise ValueError("per-seed groups must be all observed or all latent")
-    # The sweep and the bound read only the mode; assignments sit on Delta.
-    mode = groups if shared_groups else groups[0]
-    constants = _bound_constants(matrices[0], hyper, mode)
-    if per_seed:
-        # One log-gamma pass per distinct matrix, with the bits of a shared one.
-        sums = {id(matrices[0]): constants.lgamma_counts}
-        for x in matrices:
-            if id(x) not in sums:
-                sums[id(x)] = _lgamma_counts(x)
-        lgamma_counts = np.array([sums[id(x)] for x in matrices])
     size = restarts_per_batch(V, T)
     results: list[FitResult] = []
     for first in range(0, len(seeds), size):
         batch = slice(first, first + size)
-        X, batch_constants = matrices[0], constants
-        if per_seed:
-            X = np.stack(matrices[batch])
-            batch_constants = replace(constants, lgamma_counts=lgamma_counts[batch])
-        batch_groups = groups if shared_groups else groups[batch]
+        X = matrices[batch]
+        if all(x is X[0] for x in X):
+            X = np.broadcast_to(X[0], (len(X), V, T))
+        else:
+            X = np.stack(X)
         try:
-            results += _fit_batch(
-                X, hyper, batch_groups, mode, config, seeds[batch], batch_constants
-            )
+            results += _fit_batch(X, hyper, groups[batch], config, seeds[batch])
         except NumericalError as exc:
             k = first + exc.restart
             raise NumericalError(f"{exc} in restart {k}", restart=k) from exc

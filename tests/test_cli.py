@@ -287,6 +287,26 @@ def test_label_count_mismatch_exits_3(tmp_path, command):
     assert "5 labels for 6 samples" in r.stderr
 
 
+def test_a_size_too_large_to_allocate_exits_3(tmp_path, monkeypatch, capsys):
+    from gsnmf import cli
+
+    # Raised in place of the allocation: a real multi-TiB request can be
+    # granted under memory overcommit and then fill the machine.
+    def too_large(self, n_rows, n_groups, n_samples):
+        raise MemoryError("Unable to allocate 6.55 TiB for an array with shape (50, 30000000000)")
+
+    monkeypatch.setattr(PriorSettings, "hyperparameters", too_large)
+    io.save_matrix(np.ones((4, 6)), tmp_path / "X.bin", "binary")
+    io.save_matrix(np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]]), tmp_path / "y.bin", "binary")
+    code = cli.main(["evaluate", "--data", str(tmp_path / "X.bin"),
+                     "--labels", str(tmp_path / "y.bin"), "--folds", "3", "--runs", "1",
+                     "--restarts", "1", "--sweeps", "2", "--per-group", "100000000000",
+                     "--report", str(tmp_path / "report.json")])
+    assert code == 3
+    assert "gsnmf evaluate: Unable to allocate 6.55 TiB" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_numerical_failure_exits_4(monkeypatch, capsys):
     from gsnmf import cli
     from gsnmf.engine import NumericalError

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsnmf import engine
 from gsnmf.engine import (
@@ -414,21 +416,91 @@ def test_batched_restarts_match_separate_fits_bitwise(mode, restarts, monkeypatc
         assert result.final_bound == variational_bound(state, X, hyper, groups)
 
 
-@pytest.mark.parametrize("stacked", [True, False])
+# stacked: True passes one (R, V, T) array, False a list of distinct
+# matrices, "repeated" a list that repeats matrix and assignment objects as
+# evaluate does: its first batch stacks two matrices, its second broadcasts one.
+@pytest.mark.parametrize("stacked", [True, False, "repeated"])
 @pytest.mark.parametrize("mode", ["observed", "latent"])
 def test_per_seed_data_and_groups_match_separate_fits_bitwise(mode, stacked, monkeypatch):
     problems = [small_problem(seed=s) for s in (20, 21, 22)]
     hyper = problems[0][1]
     data = [X for X, _, _ in problems]
     groups = [g if mode == "observed" else GroupAssignment.latent(g.n_groups) for _, _, g in problems]
+    seeds = [3, 17, 3]
+    if stacked == "repeated":
+        data, groups = ([items[0], items[1], items[0], items[0]] for items in (data, groups))
+        seeds = [3, 17, 5, 3]
     # Batches of two restarts, so a batch boundary falls inside.
     monkeypatch.setattr(engine, "_BATCH_ELEMENTS", 2 * data[0].size)
     config = FitConfig(max_sweeps=25, compute_bound_every=6)
-    seeds = [3, 17, 3]
-    results = fit_restarts(np.stack(data) if stacked else data, hyper, groups, config, seeds)
+    inputs = np.stack(data) if stacked is True else data
+    results = fit_restarts(inputs, hyper, groups, config, seeds)
     assert len(results) == len(seeds)
     for X, g, seed, result in zip(data, groups, seeds, results):
         assert_same_fit(result, fit(X, hyper, g, dataclasses.replace(config, seed=seed)))
+
+
+def test_a_shared_matrix_is_not_copied_per_restart(monkeypatch):
+    X, hyper, groups = small_problem()
+    seen = []
+    fit_batch = engine._fit_batch
+
+    def recording(X, *args):
+        seen.append(X)
+        return fit_batch(X, *args)
+
+    monkeypatch.setattr(engine, "_fit_batch", recording)
+    fit_restarts(X, hyper, groups, FitConfig(max_sweeps=2), [1, 2, 3])
+    [batch_X] = seen
+    assert batch_X.shape[0] == 3
+    assert np.shares_memory(batch_X, X)
+
+
+def degenerate(X, kind):
+    """A copy of the count matrix X with one kind of degenerate data."""
+    X = X.copy()
+    if kind == "zero row":
+        X[1] = 0.0
+    elif kind == "zero column":
+        X[:, 2] = 0.0
+    elif kind == "all zero":
+        X[:] = 0.0
+    elif kind == "huge":
+        X *= 1e12
+    return X
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    kinds=st.lists(
+        st.sampled_from(["ordinary", "zero row", "zero column", "all zero", "huge"]),
+        min_size=1,
+        max_size=5,
+    ),
+    at=st.integers(0, 5),
+    mode=st.sampled_from(["observed", "latent"]),
+)
+def test_degenerate_per_seed_data_in_one_batch_match_separate_fits(kinds, at, mode):
+    X, hyper, groups = small_problem(seed=23)
+    if mode == "latent":
+        groups = GroupAssignment.latent(hyper.dims[2])
+    kinds.insert(min(at, len(kinds)), "ordinary")
+    data = [degenerate(X, kind) for kind in kinds]
+    seeds = [40 + j for j in range(len(data))]
+    config = FitConfig(max_sweeps=40)
+    assert engine.restarts_per_batch(*X.shape) >= len(data)  # one batch
+    try:
+        results = fit_restarts(data, hyper, groups, config, seeds)
+    except NumericalError as exc:
+        j = exc.restart
+        with pytest.raises(NumericalError):
+            fit(data[j], hyper, groups, dataclasses.replace(config, seed=seeds[j]))
+        return
+    for x, seed, result in zip(data, seeds, results):
+        assert_same_fit(result, fit(x, hyper, groups, dataclasses.replace(config, seed=seed)))
+        bounds = np.array([b for _, b in result.bound_trace])
+        drops = bounds[:-1] - bounds[1:]
+        assert (drops <= np.abs(bounds[:-1]) * 1e-9).all()
 
 
 def test_per_seed_inputs_must_match_the_seeds():
