@@ -394,13 +394,14 @@ def _fit_batch(X, hyper, groups, config: FitConfig, seeds) -> list[FitResult]:
     constants = _bound_constants(X, hyper, mode)
     state = _init_states(hyper, groups, seeds)
     traces: list[list[tuple[int, float]]] = [[] for _ in seeds]
-    for sweep in range(1, config.max_sweeps + 1):
-        state = _sweep(state, X, hyper, mode, sweep)
-        if sweep % config.compute_bound_every and sweep != config.max_sweeps:
-            continue
-        bounds = variational_bound(state, X, hyper, mode, sweep, constants=constants)
-        for trace, bound in zip(traces, bounds):
-            trace.append((sweep, float(bound)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite checks name the failure
+        for sweep in range(1, config.max_sweeps + 1):
+            state = _sweep(state, X, hyper, mode, sweep)
+            if sweep % config.compute_bound_every and sweep != config.max_sweeps:
+                continue
+            bounds = variational_bound(state, X, hyper, mode, sweep, constants=constants)
+            for trace, bound in zip(traces, bounds):
+                trace.append((sweep, float(bound)))
     return [FitResult(_take(state, j), traces[j], seed) for j, seed in enumerate(seeds)]
 
 

@@ -3,7 +3,9 @@
 Active set (Lawson and Hanson) in Gram form (Bro and De Jong, J. Chemometrics
 11, 1997): free the most violated constraint, solve ``G[F, F] z = (A^T b)[F]``
 with ``G = A^T A`` on the free set F, and step back toward feasibility when z
-leaves the nonnegative orthant. A Gram block that fails a Cholesky check (it
+leaves the nonnegative orthant. Target b is optimal once no free gradient entry
+exceeds its rounding level, ``_KKT_EPS``·max(V, I)·max_j ||A[:, j]||_1·||b||_inf
+(Lawson and Hanson 1974, ch. 23). A Gram block that fails a Cholesky check (it
 raises, or its diagonal spans more than ``_MAX_CHOLESKY_RATIO``, a condition
 number of about 1e8) is solved by least squares on ``A[:, F]`` instead.
 
@@ -55,6 +57,8 @@ _MAX_CHOLESKY_RATIO = 1e4
 # Sample entries (V x columns) per project_matrix block; bounds its (columns, V) temporaries.
 _BLOCK_ELEMENTS = 2**15
 
+_KKT_EPS = 10.0 * np.finfo(float).eps  # KKT rounding level per unit of scale (module docstring)
+
 _TOO_LARGE = "dictionary or target too large (or not finite) to solve in float64"
 
 
@@ -100,7 +104,7 @@ def _solve_free_sets(G, Atb, A, B, free):
     return z
 
 
-def _active_set(A, B, G, Atb, usable, tol, max_iter, target_norm=None):
+def _active_set(A, B, G, Atb, usable, threshold, max_iter, target_norm=None):
     """Coefficients, iteration counts and KKT flags of the targets in ``B``'s rows.
 
     A row that hits the cap keeps its last iterate. Given ``target_norm``
@@ -117,7 +121,7 @@ def _active_set(A, B, G, Atb, usable, tol, max_iter, target_norm=None):
     live = np.arange(M)
     while True:
         gains = np.where(usable & ~free[live], w[live], -np.inf)
-        done = gains.max(axis=1, initial=-np.inf) <= tol
+        done = gains.max(axis=1, initial=-np.inf) <= threshold[live]
         optimal[live[done]] = True
         going = ~done & (iterations[live] < max_iter)
         live = live[going]
@@ -155,22 +159,20 @@ def _active_set(A, B, G, Atb, usable, tol, max_iter, target_norm=None):
     return (x if best_residual is None else best_x), iterations, optimal
 
 
-def nnls(dictionary, target, tol: float = 1e-8, max_iter: int | None = None) -> NnlsSolution:
+def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
     """Minimize ||target - dictionary @ v||_2 subject to v >= 0.
 
     ``target`` is a (V,) vector or a (V, M) block whose columns are solved
-    together, each with exactly the result it gets alone. ``tol`` bounds the
-    admissible KKT violation of gradient components; the iteration cap per
-    column defaults to 3 times the number of dictionary columns. All-zero
-    dictionary columns are excluded (coefficient 0) with a warning. Raises
-    ``ValueError`` when ``A^T A``, ``A^T b`` or a target's norm is not finite.
+    together, each with exactly the result it gets alone. A column's KKT
+    threshold is derived from it and the dictionary (module docstring); its
+    iteration cap defaults to 3·I. All-zero dictionary columns are excluded
+    (coefficient 0) with a warning. Raises ``ValueError`` when ``A^T A``,
+    ``A^T b`` or a target's norm is not finite.
     """
     A = np.asarray(dictionary, dtype=float)
     b = np.asarray(target, dtype=float)
     if A.ndim != 2 or b.ndim not in (1, 2) or A.shape[0] != b.shape[0]:
         raise ValueError("dictionary must be (V, I) and target (V,) or (V, M)")
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
     if max_iter is None:
         max_iter = 3 * A.shape[1]
 
@@ -189,18 +191,20 @@ def nnls(dictionary, target, tol: float = 1e-8, max_iter: int | None = None) -> 
     if not usable.all():
         warnings.warn(f"dropping {int((~usable).sum())} all-zero dictionary column(s)",
                       stacklevel=2)
-    x, iterations, optimal = _active_set(A, B, G, Atb, usable, tol, max_iter)
+    scale = _KKT_EPS * max(A.shape) * np.abs(A).sum(axis=0).max(initial=0.0)
+    threshold = scale * np.abs(B).max(axis=1, initial=0.0)
+    x, iterations, optimal = _active_set(A, B, G, Atb, usable, threshold, max_iter)
     # Only a capped column needs its iterates' residuals (it returns its best
     # iterate): solve those columns again, tracking them.
     capped = np.flatnonzero(~optimal)
-    x[capped] = _active_set(A, B[capped], G, Atb[capped], usable, tol, max_iter,
+    x[capped] = _active_set(A, B[capped], G, Atb[capped], usable, threshold[capped], max_iter,
                             target_norm[capped])[0]
     residual = _norms(B - _matvec(A, x))
     solved = (x[0], float(residual[0])) if b.ndim == 1 else (x.T, residual)
     return NnlsSolution(*solved, int(iterations.sum()), tuple(capped.tolist()))
 
 
-def project_matrix(dictionary, samples, tol: float = 1e-8) -> np.ndarray:
+def project_matrix(dictionary, samples) -> np.ndarray:
     """Column-by-column NNLS coefficients of ``samples`` in the dictionary.
 
     Returns the (I, M) coefficient matrix, solved by ``nnls`` a block of columns
@@ -220,7 +224,7 @@ def project_matrix(dictionary, samples, tol: float = 1e-8) -> np.ndarray:
         zero_cols = int((np.linalg.norm(A, axis=0) == 0.0).sum())
         for start in range(0, S.shape[1], width):
             try:
-                sol = nnls(A, S[:, start : start + width], tol=tol)
+                sol = nnls(A, S[:, start : start + width])
             except _UnsolvableColumn as exc:
                 raise ValueError(f"sample column {start + exc.column}: {_TOO_LARGE}") from exc
             coeffs[:, start : start + width] = sol.coefficients

@@ -107,16 +107,20 @@ def grid_search_nnls_2d(
     return np.array(best)
 
 
-def column_loop_nnls(A: np.ndarray, b: np.ndarray, tol: float = 1e-8, max_iter=None):
+def column_loop_nnls(A: np.ndarray, b: np.ndarray, max_iter=None):
     """One target at a time: the Gram-form active set as a plain loop.
 
     The arithmetic of ``gsnmf.projection.nnls`` on a single target, one
     numpy call per step, so a lockstep block solve can be checked against it
-    bit for bit. Returns (coefficients, residual norm, iterations, optimal).
+    bit for bit, including its KKT threshold, multiplied in the same order:
+    10·eps·max(V, I)·max_j ||A[:, j]||_1·||b||_inf. Returns (coefficients,
+    residual norm, iterations, optimal).
     """
     n = A.shape[1]
     max_iter = 3 * n if max_iter is None else max_iter
     G, Atb = A.T @ A, A.T @ b
+    column_norm = np.abs(A).sum(axis=0).max(initial=0.0)
+    threshold = 10.0 * np.finfo(float).eps * max(A.shape) * column_norm * np.abs(b).max(initial=0.0)
 
     def solve(free):
         z = np.zeros(n)
@@ -140,7 +144,7 @@ def column_loop_nnls(A: np.ndarray, b: np.ndarray, tol: float = 1e-8, max_iter=N
     iterations, optimal = 0, False
     while True:
         candidates = usable & ~free
-        if not candidates.any() or w[candidates].max() <= tol:
+        if not candidates.any() or w[candidates].max() <= threshold:
             optimal = True
             break
         if iterations >= max_iter:

@@ -20,6 +20,7 @@ from gsnmf.engine import (
 from gsnmf.model import (
     GroupAssignment,
     Hyperparameters,
+    PriorSettings,
     build_group_hyperprior,
     sample_model,
 )
@@ -531,6 +532,22 @@ def test_numerical_error_names_the_restart_and_the_sweep(monkeypatch):
     with pytest.raises(NumericalError, match="Sigma_v at sweep 1 in restart 2") as info:
         fit_restarts(X, hyper, groups, FitConfig(max_sweeps=5), [1, 2, 3])
     assert info.value.restart == 2
+
+
+@pytest.mark.parametrize("mode, restart", [("observed", 0), ("latent", 1)])
+def test_overflow_in_a_sweep_is_a_numerical_error_not_a_numpy_warning(mode, restart):
+    # Shapes of 1e-8 make the sweep's exponentials overflow; under the
+    # suite's error::RuntimeWarning filter numpy's warning must not escape
+    # before the finite check names the factor, the sweep and the restart.
+    prior = PriorSettings(per_group=1, a_small=1e-8, a_large=8e-8, b_lambda=1, a_t=1e-6)
+    hyper = prior.hyperparameters(6, 2, 5)
+    groups = GroupAssignment(2, np.array([0, 0, 1, 1, 0]))
+    if mode == "latent":
+        groups = GroupAssignment.latent(2)
+    X = np.full((6, 5), 3.0)
+    with pytest.raises(NumericalError, match=f"Sigma_t at sweep 1 in restart {restart}$") as info:
+        fit_restarts(X, hyper, groups, FitConfig(max_sweeps=5), [1, 2])
+    assert info.value.restart == restart
 
 
 @pytest.mark.parametrize("mode", ["observed", "latent"])
