@@ -42,6 +42,13 @@ def _add_prior_flags(p: argparse.ArgumentParser):
                    help="dictionary prior scale (default 20)")
 
 
+def _add_protocol_flags(p: argparse.ArgumentParser):
+    p.add_argument("--folds", type=int, default=10, help="crossvalidation folds (default 10)")
+    p.add_argument("--runs", type=int, default=5, help="crossvalidation runs (default 5)")
+    p.add_argument("--restarts", type=int, default=10, help="restarts per fold (default 10)")
+    p.add_argument("--sweeps", type=int, default=300, help="update sweeps per fit (default 300)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gsnmf",
@@ -92,10 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", help="crossvalidated accuracy of the pipeline")
     e.add_argument("--data", required=True)
     e.add_argument("--labels", required=True)
-    e.add_argument("--folds", type=int, default=10, help="crossvalidation folds (default 10)")
-    e.add_argument("--runs", type=int, default=5, help="crossvalidation runs (default 5)")
-    e.add_argument("--restarts", type=int, default=10, help="restarts per fold (default 10)")
-    e.add_argument("--sweeps", type=int, default=300, help="update sweeps per fit (default 300)")
+    _add_protocol_flags(e)
     e.add_argument("--per-group", type=int, default=3, help="features per class (default 3)")
     _add_prior_flags(e)
     e.add_argument("--single-group", action="store_true",
@@ -107,10 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--grid", required=True, help="JSON list of prior-setting objects")
     s.add_argument("--data", required=True)
     s.add_argument("--labels", required=True)
-    s.add_argument("--folds", type=int, default=10, help="crossvalidation folds (default 10)")
-    s.add_argument("--runs", type=int, default=5, help="crossvalidation runs (default 5)")
-    s.add_argument("--restarts", type=int, default=10, help="restarts per fold (default 10)")
-    s.add_argument("--sweeps", type=int, default=300, help="update sweeps per fit (default 300)")
+    _add_protocol_flags(s)
     s.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     s.add_argument("--report", required=True)
 
@@ -344,9 +345,18 @@ _COMMANDS = {
 }
 
 
+def _check_output_dirs(args):
+    """Raise DataError for an output path whose directory does not exist."""
+    for flag in ("out", "bound_trace", "report"):
+        path = getattr(args, flag, None)
+        if path is not None and not Path(path).parent.is_dir():
+            raise DataError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_output_dirs(args)  # before any input is loaded or any model fitted
         summary = _COMMANDS[args.command](args)
     # A size too large to allocate is bad input too, not a crash.
     except (DataError, io.FormatError, ValueError, OSError, MemoryError) as exc:

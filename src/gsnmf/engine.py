@@ -274,33 +274,25 @@ def update_sweep(state, data, hyper, groups, sweep=None) -> VariationalState:
     return _sweep(state, data, hyper, groups, sweep)
 
 
-@dataclass(frozen=True)
-class _BoundConstants:
-    """Bound terms that depend only on the data and the hyperparameters.
+def _bound_constants(data, hyper: Hyperparameters, groups: GroupAssignment) -> float | np.ndarray:
+    """The bound's terms that never change across sweeps, as one offset.
 
-    ``dictionary`` and ``rate`` are the gamma prior normalizers
-    -sum(A log B + log-gamma(A)) of T and of the rate indicators; ``group``
-    is the Dirichlet prior normalizer of the latent mode (0 when observed).
-    ``lgamma_counts`` is sum(log-gamma(X + 1)) of each matrix of the data:
-    an (R,) array for a batch's stack, one value for a single (V, T) matrix.
+    -sum(log-gamma(X + 1)) of the data, the gamma prior normalizers
+    -sum(A log B + log-gamma(A)) of T and of the rate indicators and, in
+    latent mode, the Dirichlet prior normalizer: an (R,) array for a batch's
+    (R, V, T) stack, a float for a single (V, T) matrix.
     """
-
-    lgamma_counts: float | np.ndarray
-    dictionary: float
-    rate: float
-    group: float
-
-
-def _bound_constants(data, hyper: Hyperparameters, groups: GroupAssignment) -> _BoundConstants:
-    group = 0.0
+    offset = -np.sum(log_gamma(data + 1.0), axis=(-2, -1))
+    for shape, scale in ((hyper.A_t, hyper.B_t), (hyper.A_lambda, hyper.B_lambda)):
+        offset = offset - np.sum(shape * np.log(scale) + log_gamma(shape))
     if not groups.observed:
-        group = float(np.sum(log_gamma(hyper.U.sum(axis=1))) - np.sum(log_gamma(hyper.U)))
-    return _BoundConstants(
-        lgamma_counts=np.sum(log_gamma(data + 1.0), axis=(-2, -1)),
-        dictionary=-float(np.sum(hyper.A_t * np.log(hyper.B_t) + log_gamma(hyper.A_t))),
-        rate=-float(np.sum(hyper.A_lambda * np.log(hyper.B_lambda) + log_gamma(hyper.A_lambda))),
-        group=group,
-    )
+        offset = offset + np.sum(log_gamma(hyper.U.sum(axis=1))) - np.sum(log_gamma(hyper.U))
+    return offset
+
+
+def _gamma_terms(q: GammaFactor, expected_log_prior) -> np.ndarray:
+    """Expected log prior (less its constant normalizer) plus entropy of a gamma factor."""
+    return np.sum(expected_log_prior + q.entropy(), axis=(-2, -1))
 
 
 def variational_bound(
@@ -309,7 +301,7 @@ def variational_bound(
     hyper: Hyperparameters,
     groups: GroupAssignment,
     sweep: int | None = None,
-    constants: _BoundConstants | None = None,
+    constants: float | np.ndarray | None = None,
 ):
     """Evidence lower bound of the current factorized posterior.
 
@@ -317,56 +309,33 @@ def variational_bound(
     count-allocation factor is refreshed from the current log-means, so
     consecutive post-sweep evaluations sit at the same point of the update
     cycle and the returned trace is non-decreasing. ``constants`` may carry
-    ``_bound_constants`` (all the terms that never change across sweeps).
+    the offset of ``_bound_constants``; the per-sweep terms are checked one
+    by one under the names that errors give them. In latent mode q(pi) is
+    Dir(U + Delta), so the terms in E[log pi] cancel and ``Pi`` is not read.
     ``sweep`` only names the sweep in errors.
     """
-    X = data
-    constants = constants or _bound_constants(X, hyper, groups)
-    denom = state.reconstruction[2]
     cells = (-2, -1)
     t, v, lam = state.t, state.v, state.lam
-    mixing = (
-        np.sum(X * np.log(denom), axis=cells)
-        - (t.mean.sum(axis=-2)[..., None, :] @ v.mean.sum(axis=-1)[..., :, None])[..., 0, 0]
-        - constants.lgamma_counts
-    )
-    _check_terms("mixing", mixing, sweep)
-
-    # Gamma factors: prior cross terms plus entropy; the prior normalizers
-    # of T and of the rate indicators are in ``constants``.
-    t_terms = constants.dictionary + np.sum(
-        -t.mean / hyper.B_t + (hyper.A_t - 1.0) * t.log_mean + t.entropy(), axis=cells
-    )
-    _check_terms("dictionary", t_terms, sweep)
-
     delta_t = np.swapaxes(state.Delta, -1, -2)
-    rate = lam.mean @ delta_t
-    log_rate = lam.log_mean @ delta_t
-    v_terms = np.sum(log_rate - rate * v.mean, axis=cells) + np.sum(v.entropy(), axis=cells)
-    _check_terms("coefficient", v_terms, sweep)
-
-    lambda_terms = constants.rate + np.sum(
-        -lam.mean / hyper.B_lambda + (hyper.A_lambda - 1.0) * lam.log_mean + lam.entropy(),
-        axis=cells,
-    )
-    _check_terms("rate-indicator", lambda_terms, sweep)
-
-    total = mixing + t_terms + v_terms + lambda_terms
-
+    terms = {
+        "constant": _bound_constants(data, hyper, groups) if constants is None else constants,
+        "mixing": np.sum(data * np.log(state.reconstruction[2]), axis=cells)
+        - (t.mean.sum(axis=-2)[..., None, :] @ v.mean.sum(axis=-1)[..., :, None])[..., 0, 0],
+        "dictionary": _gamma_terms(t, (hyper.A_t - 1.0) * t.log_mean - t.mean / hyper.B_t),
+        "coefficient": _gamma_terms(v, lam.log_mean @ delta_t - (lam.mean @ delta_t) * v.mean),
+        "rate-indicator": _gamma_terms(
+            lam, (hyper.A_lambda - 1.0) * lam.log_mean - lam.mean / hyper.B_lambda
+        ),
+    }
     if not groups.observed:
         delta = state.Delta
-        z_terms = np.sum(delta * state.Pi, axis=cells) - np.sum(
-            np.where(delta > 0.0, delta * np.log(np.maximum(delta, _DENOM_FLOOR)), 0.0), axis=cells
-        )
         Y = hyper.U + delta
-        pi_terms = constants.group + (
-            np.sum((hyper.U - Y) * state.Pi, axis=cells)
-            - np.sum(log_gamma(Y.sum(axis=-1)), axis=-1)
-            + np.sum(log_gamma(Y), axis=cells)
-        )
-        _check_terms("group", z_terms + pi_terms, sweep)
-        total = total + (z_terms + pi_terms)
-
+        plogp = np.where(delta > 0.0, delta * np.log(np.maximum(delta, _DENOM_FLOOR)), 0.0)
+        terms["group"] = np.sum(log_gamma(Y) - plogp, axis=cells) - np.sum(log_gamma(Y.sum(-1)), -1)
+    total = 0.0
+    for name, value in terms.items():
+        _check_terms(name, value, sweep)
+        total = total + value
     return float(total) if np.ndim(total) == 0 else total
 
 
@@ -391,7 +360,7 @@ def _fit_batch(X, hyper, groups, config: FitConfig, seeds) -> list[FitResult]:
     """
     # The sweep and the bound read only the mode; assignments sit on Delta.
     mode = groups[0]
-    constants = _bound_constants(X, hyper, mode)
+    offset = _bound_constants(X, hyper, mode)
     state = _init_states(hyper, groups, seeds)
     traces: list[list[tuple[int, float]]] = [[] for _ in seeds]
     with np.errstate(over="ignore", invalid="ignore"):  # the finite checks name the failure
@@ -399,7 +368,7 @@ def _fit_batch(X, hyper, groups, config: FitConfig, seeds) -> list[FitResult]:
             state = _sweep(state, X, hyper, mode, sweep)
             if sweep % config.compute_bound_every and sweep != config.max_sweeps:
                 continue
-            bounds = variational_bound(state, X, hyper, mode, sweep, constants=constants)
+            bounds = variational_bound(state, X, hyper, mode, sweep, constants=offset)
             for trace, bound in zip(traces, bounds):
                 trace.append((sweep, float(bound)))
     return [FitResult(_take(state, j), traces[j], seed) for j, seed in enumerate(seeds)]

@@ -176,13 +176,12 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
     if max_iter is None:
         max_iter = 3 * A.shape[1]
 
-    # One row per target column, as a view: BLAS rounds ``A^T b`` differently
-    # for strided and contiguous b, so each column keeps the stride it has on
-    # its own. Norms are taken of contiguous rows, as numpy's are.
-    B = b.T if b.ndim == 2 else b[None, :]
+    # One contiguous row per target column: BLAS rounds ``A^T b`` differently
+    # for strided and contiguous b, and results must not depend on the caller's layout.
+    B = np.ascontiguousarray(b.T if b.ndim == 2 else b[None, :])
     G = A.T @ A
     Atb = _matvec(A.T, B)
-    target_norm = _norms(np.ascontiguousarray(B))
+    target_norm = _norms(B)
     finite = np.isfinite(Atb).all(axis=1) & np.isfinite(target_norm)
     if not (np.isfinite(G).all() and finite.all()):
         raise _UnsolvableColumn(int(np.argmin(finite)), block=b.ndim == 2)

@@ -114,8 +114,10 @@ def column_loop_nnls(A: np.ndarray, b: np.ndarray, max_iter=None):
     numpy call per step, so a lockstep block solve can be checked against it
     bit for bit, including its KKT threshold, multiplied in the same order:
     10·eps·max(V, I)·max_j ||A[:, j]||_1·||b||_inf. Returns (coefficients,
-    residual norm, iterations, optimal).
+    residual norm, iterations, optimal). The target is copied to contiguous
+    memory first, as ``nnls`` copies its targets.
     """
+    b = np.ascontiguousarray(b)
     n = A.shape[1]
     max_iter = 3 * n if max_iter is None else max_iter
     G, Atb = A.T @ A, A.T @ b

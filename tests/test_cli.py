@@ -307,6 +307,41 @@ def test_a_size_too_large_to_allocate_exits_3(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--data", "X.bin", "--labels", "y.bin", "--dict-size", "2", "--out", "{missing}"],
+    ["train", "--data", "X.bin", "--labels", "y.bin", "--dict-size", "2", "--out", "m.gsnm",
+     "--bound-trace", "{missing}"],
+    ["project", "--model", "m.gsnm", "--data", "X.bin", "--out", "{missing}"],
+    ["classify", "--model", "m.gsnm", "--train-data", "X.bin", "--train-labels", "y.bin",
+     "--test-data", "X.bin", "--out", "{missing}"],
+    ["prevalence", "--model", "m.gsnm", "--labels", "y.bin", "--out", "{missing}"],
+    ["generate", "--out", "{missing}", "--truth", "truth", "--dims", "4,2,2,6"],
+    ["evaluate", "--data", "X.bin", "--labels", "y.bin", "--per-group", "2",
+     "--report", "{missing}"],
+    ["sweep", "--grid", "grid.json", "--data", "X.bin", "--labels", "y.bin",
+     "--report", "{missing}"],
+], ids=lambda command: command[0] + ("-trace" if "--bound-trace" in command else ""))
+def test_an_output_in_a_missing_directory_exits_3_before_any_work(
+    tmp_path, monkeypatch, capsys, command
+):
+    from gsnmf import cli, model, pipeline
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    for owner, name in [(io, "load_matrix"), (io, "load_model"), (pipeline, "evaluate"),
+                        (pipeline, "parameter_sweep"), (model, "sample_model")]:
+        monkeypatch.setattr(owner, name, no_work)
+    missing = tmp_path / "no such dir" / "out.file"
+    argv = [str(missing) if a == "{missing}" else a for a in command]
+    argv = [str(tmp_path / a) if a.endswith((".bin", ".gsnm", ".json")) else a for a in argv]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"gsnmf {command[0]}: cannot write {missing}: no directory" in err
+    assert ".tmp" not in err
+    assert not (tmp_path / "truth").exists()
+
+
 def test_numerical_failure_exits_4(monkeypatch, capsys):
     from gsnmf import cli
     from gsnmf.engine import NumericalError

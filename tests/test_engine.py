@@ -1,9 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gsnmf import engine
 from gsnmf.engine import (
@@ -336,6 +338,35 @@ def test_bound_error_names_the_sweep():
         variational_bound(state, X, hyper, groups, sweep=7)
 
 
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_latent_bound_does_not_read_pi(data):
+    # q(pi) is Dir(U + Delta), so the bound's terms in E[log pi] cancel:
+    # any finite Pi gives the same bits.
+    X, hyper, groups = small_problem(seed=15)
+    groups = GroupAssignment.latent(hyper.dims[2])
+    state = update_sweep(init_state(hyper, groups, seed=6), X, hyper, groups)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    pi = data.draw(arrays(float, state.Pi.shape, elements=finite))
+    bound = variational_bound(state, X, hyper, groups)
+    assert variational_bound(dataclasses.replace(state, Pi=pi), X, hyper, groups) == bound
+
+
+def test_a_non_finite_offset_is_named():
+    X, hyper, groups = small_problem()
+    state = update_sweep(init_state(hyper, groups, seed=0), X, hyper, groups)
+    with pytest.raises(NumericalError, match="from the constant terms at sweep 3$"):
+        variational_bound(state, X, hyper, groups, sweep=3, constants=np.inf)
+    stack = np.broadcast_to(X, (3,) + X.shape)
+    start = engine._init_states(hyper, [groups] * 3, [1, 2, 3])
+    batch = engine._sweep(start, stack, hyper, groups, 1)
+    offset = engine._bound_constants(stack, hyper, groups)
+    offset[1] = np.nan
+    with pytest.raises(NumericalError, match="constant terms at sweep 1$") as info:
+        variational_bound(batch, stack, hyper, groups, sweep=1, constants=offset)
+    assert info.value.restart == 1
+
+
 @pytest.mark.parametrize("mode", ["observed", "latent"])
 def test_bound_evaluation_has_no_side_effect_on_the_fit(mode):
     X, hyper, groups = small_problem(seed=9)
@@ -502,6 +533,79 @@ def test_degenerate_per_seed_data_in_one_batch_match_separate_fits(kinds, at, mo
         bounds = np.array([b for _, b in result.bound_trace])
         drops = bounds[:-1] - bounds[1:]
         assert (drops <= np.abs(bounds[:-1]) * 1e-9).all()
+
+
+def assert_monotone_and_conserving_or_named_failure(X, hyper, groups):
+    """Every restart keeps its bound non-decreasing and its counts conserved,
+    or the fit raises a NumericalError naming the factor, sweep and restart.
+
+    A drop may be 1e-9 of the bound plus 64 ulps of the constant offset:
+    the bound is a sum of terms as large as the offset, which rounds at its
+    ulps when the bound itself is much smaller (examples below).
+    """
+    try:
+        results = fit_restarts(X, hyper, groups, FitConfig(max_sweeps=40), [1, 2])
+    except NumericalError as exc:
+        named = r"non-finite (values in \w+|bound contribution from the [\w-]+ terms)"
+        assert re.fullmatch(rf"{named} at sweep \d+ in restart \d+", str(exc))
+        return
+    rounding = 64 * np.finfo(float).eps * abs(engine._bound_constants(X, hyper, groups))
+    for result in results:
+        bounds = np.array([b for _, b in result.bound_trace])
+        assert (bounds[:-1] - bounds[1:] <= 1e-9 * np.abs(bounds[:-1]) + rounding).all()
+        for counts, axis in [(result.state.Sigma_v, 0), (result.state.Sigma_t, 1)]:
+            np.testing.assert_allclose(counts.sum(axis=axis), X.sum(axis=axis), rtol=1e-10, atol=0)
+
+
+# Prior shapes of the rate indicators (a) and the dictionary (a_t) range over
+# six and four orders of magnitude; a_t stays at or above 0.01 (ROADMAP item 6).
+PROPERTY_PRIORS = dict(
+    top=st.sampled_from([0, 1, 10, 1000, 10**12]),
+    a=st.sampled_from([1e-8, 1e-3, 1.0, 32.0, 1e4]),
+    b=st.sampled_from([1e-6, 1.0, 1e6]),
+    a_t=st.sampled_from([0.01, 0.6, 100.0]),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    V=st.integers(1, 8),
+    per_group=st.integers(1, 3),
+    T=st.integers(1, 8),
+    mode=st.sampled_from(["observed", "latent"]),
+    **PROPERTY_PRIORS,
+)
+# Bounds far below the offset: zero data under a concentrated prior (about
+# -1e-3 against -8e4), and counts of 1e12 on one cell (-63 against -2.7e13).
+@example(V=1, per_group=1, T=1, mode="observed", top=0, a=1e4, b=1.0, a_t=0.6, seed=0)
+@example(V=1, per_group=1, T=1, mode="observed", top=10**12, a=1e-8, b=1e-6, a_t=0.01, seed=0)
+def test_one_group_fits_are_monotone_or_name_the_failure(
+    V, per_group, T, mode, top, a, b, a_t, seed
+):
+    X = np.random.default_rng(seed).integers(0, top + 1, size=(V, T)).astype(float)
+    prior = PriorSettings(per_group=per_group, a_small=a, a_large=a, b_lambda=b, a_t=a_t)
+    groups = GroupAssignment(1, np.zeros(T, dtype=int))
+    if mode == "latent":
+        groups = GroupAssignment.latent(1)
+    assert_monotone_and_conserving_or_named_failure(X, prior.hyperparameters(V, 1, T), groups)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    V=st.integers(1, 8),
+    per_group=st.integers(1, 3),
+    C=st.integers(2, 4),
+    contrast=st.sampled_from([1.0, 8.0]),
+    **PROPERTY_PRIORS,
+)
+def test_latent_fits_with_one_sample_per_group_are_monotone_or_name_the_failure(
+    V, per_group, C, contrast, top, a, b, a_t, seed
+):
+    X = np.random.default_rng(seed).integers(0, top + 1, size=(V, C)).astype(float)
+    prior = PriorSettings(per_group=per_group, a_small=a, a_large=a * contrast, b_lambda=b, a_t=a_t)
+    groups = GroupAssignment.latent(C)
+    assert_monotone_and_conserving_or_named_failure(X, prior.hyperparameters(V, C, C), groups)
 
 
 def test_per_seed_inputs_must_match_the_seeds():

@@ -235,6 +235,26 @@ def test_project_matrix_is_bitwise_the_column_loop_at_image_size(monkeypatch):
     assert coeffs.tobytes() == expected.tobytes()
 
 
+def test_results_do_not_depend_on_the_targets_memory_layout():
+    # BLAS rounds A^T b differently for strided and contiguous b; nnls copies
+    # its targets into one layout, so C order, F order, strided columns and
+    # contiguous copies all give the same bits.
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        V, I, M = rng.integers([5, 2, 1], [41, 11, 9])
+        A = rng.gamma(1.0, size=(V, I))
+        S = rng.gamma(1.0, size=(V, M))
+        layouts = [S, np.asfortranarray(S), np.repeat(S, 2, axis=1)[:, ::2]]
+        expected = project_matrix(A, S)
+        solos = [nnls(A, S[:, m].copy()).coefficients for m in range(M)]
+        assert np.column_stack(solos).tobytes() == expected.tobytes()
+        for samples in layouts:
+            assert project_matrix(A, samples).tobytes() == expected.tobytes()
+            assert nnls(A, samples).coefficients.tobytes() == expected.tobytes()
+            for m, solo in enumerate(solos):
+                assert nnls(A, samples[:, m]).coefficients.tobytes() == solo.tobytes()
+
+
 def test_project_matrix_silences_only_the_per_column_zero_warning():
     # A numpy RuntimeWarning inside the solve reaches the caller.
     A = np.array([[1.0, 0.5], [0.2, 1.0], [0.3, 0.3]])
