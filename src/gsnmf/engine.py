@@ -224,6 +224,9 @@ def _sweep(
     del xi
     _check_finite("Sigma_v", Sigma_v, sweep)
     _check_finite("Sigma_t", Sigma_t, sweep)
+    # A denominator at the floor allocates none of its cell's counts.
+    allocated, total = Sigma_v.sum(axis=(-2, -1)), np.sum(X, axis=(-2, -1))
+    _require(abs(allocated - total) <= 1e-10 * total, "counts not conserved in Sigma_v", sweep)
 
     # Dictionary posterior (uses the pre-sweep coefficient means).
     t = GammaFactor(

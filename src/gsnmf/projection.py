@@ -15,8 +15,8 @@ still iterating and solves the free sets of each size with one stacked Cholesky
 check and one stacked solve. numpy's stacked matmul, Cholesky and solve make
 the same BLAS or LAPACK call per item as on one column; with products taken as
 stacks of matrix-vector products and free sets grouped by exact size (never
-padded), each column is bitwise its own solve. ``project_matrix`` blocks hold
-at most ``_BLOCK_ELEMENTS`` sample entries.
+padded), each column is bitwise its own solve. ``nnls`` forms ``A^T A`` once
+per call and solves at most ``_BLOCK_ELEMENTS`` target entries at a time.
 """
 
 from __future__ import annotations
@@ -54,18 +54,12 @@ class NnlsSolution:
 # roughly the square of this ratio.
 _MAX_CHOLESKY_RATIO = 1e4
 
-# Sample entries (V x columns) per project_matrix block; bounds its (columns, V) temporaries.
+# Target entries (V x columns) per nnls block; bounds its (columns, V) temporaries.
 _BLOCK_ELEMENTS = 2**15
 
 _KKT_EPS = 10.0 * np.finfo(float).eps  # KKT rounding level per unit of scale (module docstring)
 
-_TOO_LARGE = "dictionary or target too large (or not finite) to solve in float64"
-
-
-class _UnsolvableColumn(ValueError):
-    def __init__(self, column: int, block: bool):
-        super().__init__(f"target column {column}: {_TOO_LARGE}" if block else _TOO_LARGE)
-        self.column = column
+_TOO_LARGE = "too large (or not finite) to solve in float64"
 
 
 def _matvec(matrix, rows):
@@ -166,71 +160,64 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
     together, each with exactly the result it gets alone. A column's KKT
     threshold is derived from it and the dictionary (module docstring); its
     iteration cap defaults to 3·I. All-zero dictionary columns are excluded
-    (coefficient 0) with a warning. Raises ``ValueError`` when ``A^T A``,
-    ``A^T b`` or a target's norm is not finite.
+    (coefficient 0) with one warning. Raises ``ValueError`` when ``A^T A`` is
+    not finite, or naming the first column whose ``A^T b`` or norm is not.
     """
     A = np.asarray(dictionary, dtype=float)
     b = np.asarray(target, dtype=float)
     if A.ndim != 2 or b.ndim not in (1, 2) or A.shape[0] != b.shape[0]:
         raise ValueError("dictionary must be (V, I) and target (V,) or (V, M)")
-    if max_iter is None:
-        max_iter = 3 * A.shape[1]
-
-    # One contiguous row per target column: BLAS rounds ``A^T b`` differently
-    # for strided and contiguous b, and results must not depend on the caller's layout.
-    B = np.ascontiguousarray(b.T if b.ndim == 2 else b[None, :])
+    targets = b if b.ndim == 2 else b[:, None]
+    (V, I), M = A.shape, targets.shape[1]
+    max_iter = 3 * I if max_iter is None else max_iter
     G = A.T @ A
-    Atb = _matvec(A.T, B)
-    target_norm = _norms(B)
-    finite = np.isfinite(Atb).all(axis=1) & np.isfinite(target_norm)
-    if not (np.isfinite(G).all() and finite.all()):
-        raise _UnsolvableColumn(int(np.argmin(finite)), block=b.ndim == 2)
-
+    if not np.isfinite(G).all():
+        raise ValueError(f"dictionary {_TOO_LARGE}")
     usable = np.diag(G) > 0.0
     if not usable.all():
-        warnings.warn(f"dropping {int((~usable).sum())} all-zero dictionary column(s)",
-                      stacklevel=2)
-    scale = _KKT_EPS * max(A.shape) * np.abs(A).sum(axis=0).max(initial=0.0)
-    threshold = scale * np.abs(B).max(axis=1, initial=0.0)
-    x, iterations, optimal = _active_set(A, B, G, Atb, usable, threshold, max_iter)
-    # Only a capped column needs its iterates' residuals (it returns its best
-    # iterate): solve those columns again, tracking them.
-    capped = np.flatnonzero(~optimal)
-    x[capped] = _active_set(A, B[capped], G, Atb[capped], usable, threshold[capped], max_iter,
-                            target_norm[capped])[0]
-    residual = _norms(B - _matvec(A, x))
-    solved = (x[0], float(residual[0])) if b.ndim == 1 else (x.T, residual)
-    return NnlsSolution(*solved, int(iterations.sum()), tuple(capped.tolist()))
+        warnings.warn(f"dictionary has {int((~usable).sum())} all-zero column(s)", stacklevel=2)
+    scale = _KKT_EPS * max(V, I) * np.abs(A).sum(axis=0).max(initial=0.0)
+
+    coefficients, residual = np.empty((I, M)), np.empty(M)
+    iterations, capped = 0, []
+    width = max(1, _BLOCK_ELEMENTS // max(1, V))
+    for start in range(0, M, width):
+        block = slice(start, start + width)
+        # One contiguous row per target column: BLAS rounds ``A^T b`` differently
+        # for strided and contiguous b, and results must not depend on the caller's layout.
+        B = np.ascontiguousarray(targets[:, block].T)
+        Atb, target_norm = _matvec(A.T, B), _norms(B)
+        finite = np.isfinite(Atb).all(axis=1) & np.isfinite(target_norm)
+        if not finite.all():
+            column = start + int(np.argmin(finite))
+            raise ValueError(f"sample column {column}: dictionary or target {_TOO_LARGE}")
+        threshold = scale * np.abs(B).max(axis=1, initial=0.0)
+        x, counts, optimal = _active_set(A, B, G, Atb, usable, threshold, max_iter)
+        # Only a capped column needs its iterates' residuals (it returns its best
+        # iterate): solve those columns again, tracking them.
+        stuck = np.flatnonzero(~optimal)
+        x[stuck] = _active_set(A, B[stuck], G, Atb[stuck], usable, threshold[stuck], max_iter,
+                               target_norm[stuck])[0]
+        coefficients[:, block] = x.T
+        residual[block] = _norms(B - _matvec(A, x))
+        iterations += int(counts.sum())
+        capped += (start + stuck).tolist()
+    solved = (coefficients, residual) if b.ndim == 2 else (coefficients[:, 0], float(residual[0]))
+    return NnlsSolution(*solved, iterations, tuple(capped))
 
 
 def project_matrix(dictionary, samples) -> np.ndarray:
     """Column-by-column NNLS coefficients of ``samples`` in the dictionary.
 
-    Returns the (I, M) coefficient matrix, solved by ``nnls`` a block of columns
-    at a time. Columns that hit the iteration cap are reported in one warning; a
-    column that cannot be solved in float64 raises ``ValueError`` naming it.
+    Returns the C-contiguous (I, M) coefficients of ``nnls``. Columns that hit
+    the iteration cap are reported in one warning; a column that cannot be
+    solved in float64 raises ``ValueError`` naming it.
     """
-    A = np.asarray(dictionary, dtype=float)
     S = np.asarray(samples, dtype=float)
-    if S.ndim != 2 or S.shape[0] != A.shape[0]:
+    if S.ndim != 2 or S.shape[:1] != np.shape(dictionary)[:1]:
         raise ValueError("samples must be (V, M) with V matching the dictionary")
-    coeffs = np.empty((A.shape[1], S.shape[1]))
-    width = max(1, _BLOCK_ELEMENTS // max(1, A.shape[0]))
-    stuck = []
-    with warnings.catch_warnings():
-        # nnls warns about zero columns on every block; warned once below.
-        warnings.filterwarnings("ignore", r"dropping \d+ all-zero dictionary column")
-        zero_cols = int((np.linalg.norm(A, axis=0) == 0.0).sum())
-        for start in range(0, S.shape[1], width):
-            try:
-                sol = nnls(A, S[:, start : start + width])
-            except _UnsolvableColumn as exc:
-                raise ValueError(f"sample column {start + exc.column}: {_TOO_LARGE}") from exc
-            coeffs[:, start : start + width] = sol.coefficients
-            stuck.extend(start + m for m in sol.capped)
-    if zero_cols:
-        warnings.warn(f"dictionary has {zero_cols} all-zero column(s)", stacklevel=2)
-    if stuck:
-        warnings.warn(f"nnls hit the iteration cap on {len(stuck)} column(s): {stuck[:10]}",
-                      stacklevel=2)
-    return coeffs
+    sol = nnls(dictionary, S)
+    if sol.capped:
+        warnings.warn(f"nnls hit the iteration cap on {len(sol.capped)} column(s): "
+                      f"{list(sol.capped[:10])}", stacklevel=2)
+    return sol.coefficients

@@ -355,6 +355,17 @@ def test_numerical_failure_exits_4(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_train_that_loses_the_counts_exits_4(tmp_path):
+    io.save_matrix(np.full((4, 6), 5.0), tmp_path / "X.bin", "binary")
+    io.save_matrix((np.arange(6) % 2)[None, :].astype(float), tmp_path / "y.bin", "binary")
+    r = run_cli(["train", "--data", "X.bin", "--labels", "y.bin", "--dict-size", "2",
+                 "--a-t", "1e-3", "--sweeps", "20", "--restarts", "2", "--out", "m.gsnm"],
+                tmp_path)
+    assert r.returncode == 4, r.stderr
+    assert "counts not conserved in Sigma_v at sweep 1 in restart 0" in r.stderr
+    assert not (tmp_path / "m.gsnm").exists()
+
+
 def test_latent_mode_without_labels(tmp_path):
     r = run_cli(generate_args(), tmp_path)
     assert r.returncode == 0, r.stderr

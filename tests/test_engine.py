@@ -546,7 +546,8 @@ def assert_monotone_and_conserving_or_named_failure(X, hyper, groups):
     try:
         results = fit_restarts(X, hyper, groups, FitConfig(max_sweeps=40), [1, 2])
     except NumericalError as exc:
-        named = r"non-finite (values in \w+|bound contribution from the [\w-]+ terms)"
+        named = (r"(non-finite (values in \w+|bound contribution from the [\w-]+ terms)"
+                 r"|counts not conserved in Sigma_v)")
         assert re.fullmatch(rf"{named} at sweep \d+ in restart \d+", str(exc))
         return
     rounding = 64 * np.finfo(float).eps * abs(engine._bound_constants(X, hyper, groups))
@@ -558,12 +559,13 @@ def assert_monotone_and_conserving_or_named_failure(X, hyper, groups):
 
 
 # Prior shapes of the rate indicators (a) and the dictionary (a_t) range over
-# six and four orders of magnitude; a_t stays at or above 0.01 (ROADMAP item 6).
+# twelve and five orders of magnitude. At a_t = 1e-3, exp(digamma(a_t))
+# underflows and a fit can lose its counts, which must raise.
 PROPERTY_PRIORS = dict(
     top=st.sampled_from([0, 1, 10, 1000, 10**12]),
     a=st.sampled_from([1e-8, 1e-3, 1.0, 32.0, 1e4]),
     b=st.sampled_from([1e-6, 1.0, 1e6]),
-    a_t=st.sampled_from([0.01, 0.6, 100.0]),
+    a_t=st.sampled_from([1e-3, 0.01, 0.6, 100.0]),
     seed=st.integers(0, 2**16),
 )
 
@@ -652,6 +654,17 @@ def test_overflow_in_a_sweep_is_a_numerical_error_not_a_numpy_warning(mode, rest
     with pytest.raises(NumericalError, match=f"Sigma_t at sweep 1 in restart {restart}$") as info:
         fit_restarts(X, hyper, groups, FitConfig(max_sweeps=5), [1, 2])
     assert info.value.restart == restart
+
+
+def test_a_sweep_that_loses_the_counts_is_a_numerical_error():
+    # exp(digamma(1e-3)) underflows, so every reconstruction sits at the
+    # floor and the sweep allocates none of the 120 counts; without the
+    # check the fit returned a bound of -83,008 against -862 at a_t = 2e-3.
+    hyper = PriorSettings(per_group=1, a_t=1e-3).hyperparameters(4, 2, 6)
+    groups = GroupAssignment(2, np.arange(6) % 2)
+    lost = "^counts not conserved in Sigma_v at sweep 1 in restart 0$"
+    with pytest.raises(NumericalError, match=lost):
+        fit(np.full((4, 6), 5.0), hyper, groups, FitConfig(max_sweeps=20))
 
 
 @pytest.mark.parametrize("mode", ["observed", "latent"])

@@ -217,8 +217,51 @@ def test_project_matrix_names_a_bad_column_in_a_later_block(monkeypatch):
     monkeypatch.setattr(projection, "_BLOCK_ELEMENTS", 2 * A.shape[0])
     with pytest.raises(ValueError, match="sample column 3: .*float64"):
         project_matrix(A, S)
-    with pytest.raises(ValueError, match="target column 1: .*float64"):
-        nnls(A, S[:, 2:4])
+
+
+def test_an_overflowing_dictionary_is_named_without_a_column():
+    # Every target is finite; only A^T A overflows.
+    A = np.array([[1e200, 1.0], [1.0, 1.0], [0.5, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="^dictionary too large .*float64$"):
+            project_matrix(A, np.ones((3, 4)))
+
+
+def test_nnls_solves_a_wide_target_a_block_at_a_time(monkeypatch):
+    # With blocks of 3 columns, 11 targets take 4 blocks: each column is
+    # bitwise its own solve, the zero-column warning comes once per call, and
+    # a bad target in a later block is named by its column in the whole target.
+    rng = np.random.default_rng(31)
+    A = np.column_stack([rng.random((6, 3)), np.zeros(6)])
+    S = np.asfortranarray(rng.random((6, 11)))
+    monkeypatch.setattr(projection, "_BLOCK_ELEMENTS", 3 * A.shape[0] + 1)
+    widths = []
+    active_set = projection._active_set
+
+    def spy(A, B, *args):
+        widths.append(B.shape[0])
+        return active_set(A, B, *args)
+
+    monkeypatch.setattr(projection, "_active_set", spy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        block = nnls(A, S)
+        coeffs = project_matrix(A, S)
+    assert [str(w.message) for w in caught] == ["dictionary has 1 all-zero column(s)"] * 2
+    assert [w for w in widths if w] == [3, 3, 3, 2] * 2
+    assert block.optimal and coeffs.flags.c_contiguous
+    assert coeffs.tobytes() == block.coefficients.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        singles = [nnls(A, S[:, m]) for m in range(S.shape[1])]
+        S[1, 7] = np.nan
+        with pytest.raises(ValueError, match="^sample column 7: .*float64"):
+            nnls(A, S)
+    expected = np.column_stack([single.coefficients for single in singles])
+    assert block.coefficients.tobytes() == expected.tobytes()
+    assert block.residual_norm.tolist() == [s.residual_norm for s in singles]
+    assert block.iterations == sum(s.iterations for s in singles)
 
 
 def test_project_matrix_is_bitwise_the_column_loop_at_image_size(monkeypatch):
@@ -260,7 +303,7 @@ def test_project_matrix_silences_only_the_per_column_zero_warning():
     A = np.array([[1.0, 0.5], [0.2, 1.0], [0.3, 0.3]])
     with pytest.raises(RuntimeWarning, match="overflow"):
         project_matrix(A, np.full((3, 1), 1e308))
-    # nnls's per-column zero-column warning collapses into one.
+    # The zero-column warning comes once per call, not once per block.
     A = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
