@@ -131,9 +131,10 @@ def _load_labels(path, n_samples: int) -> np.ndarray:
     raw = io.load_matrix(path).ravel()
     if raw.size != n_samples:
         raise DataError(f"{path}: {raw.size} labels for {n_samples} samples")
-    labels = raw.astype(int)
-    if not np.array_equal(labels, raw):
+    # Checked before the cast: NaN, inf or a value past int64 would cast with a warning.
+    if not ((raw == np.round(raw)) & (np.abs(raw) < 2.0**63)).all():
         raise DataError(f"{path}: labels must be integers")
+    labels = raw.astype(int)
     if labels.min() < 0:
         raise DataError(f"{path}: labels must be nonnegative")
     return labels

@@ -149,10 +149,6 @@ def _check_finite(name: str, arr: np.ndarray, sweep: int | None):
     _require(np.isfinite(arr).all(axis=(-2, -1)), f"non-finite values in {name}", sweep)
 
 
-def _check_terms(name: str, terms, sweep: int | None):
-    _require(np.isfinite(terms), f"non-finite bound contribution from the {name} terms", sweep)
-
-
 def _start_responsibilities(groups: GroupAssignment, C: int, T: int) -> np.ndarray:
     """(T, C) responsibilities: one-hot (observed) or uniform (latent)."""
     if groups.n_groups != C:
@@ -337,7 +333,7 @@ def variational_bound(
         terms["group"] = np.sum(log_gamma(Y) - plogp, axis=cells) - np.sum(log_gamma(Y.sum(-1)), -1)
     total = 0.0
     for name, value in terms.items():
-        _check_terms(name, value, sweep)
+        _require(np.isfinite(value), f"non-finite bound contribution from the {name} terms", sweep)
         total = total + value
     return float(total) if np.ndim(total) == 0 else total
 

@@ -20,7 +20,6 @@ __all__ = [
     "as_data_matrix",
     "build_group_hyperprior",
     "sample_model",
-    "sample_poisson_mixing",
 ]
 
 DEFAULT_A_T = 0.6
@@ -200,11 +199,6 @@ class PriorSettings:
         )
 
 
-def sample_poisson_mixing(T_true: np.ndarray, V_true: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw the observation matrix given fixed factors: Poisson(T_true @ V_true)."""
-    return rng.poisson(T_true @ V_true).astype(float)
-
-
 def sample_model(
     hyper: Hyperparameters, groups: GroupAssignment, seed: int
 ) -> tuple[np.ndarray, GroundTruth]:
@@ -228,5 +222,5 @@ def sample_model(
         pi = np.vstack([rng.dirichlet(hyper.U[t]) for t in range(T)])
         z = np.array([rng.choice(C, p=pi[t]) for t in range(T)])
     V_true = rng.exponential(scale=1.0 / Lambda_true[:, z])
-    X = sample_poisson_mixing(T_true, V_true, rng)
+    X = rng.poisson(T_true @ V_true).astype(float)
     return X, GroundTruth(T_true=T_true, V_true=V_true, Lambda_true=Lambda_true, z_true=z)

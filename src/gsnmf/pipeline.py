@@ -87,9 +87,7 @@ class AccuracyReport:
     """Accuracy statistics over the full run x fold x restart tensor.
 
     ``max_accuracy`` averages the per-fold maximum over restarts (the
-    restart-selection estimate); ``max_of_restart_means`` is the alternative
-    aggregation that first averages each restart over all cells and then
-    takes the best restart.
+    restart-selection estimate).
     """
 
     max_accuracy: float
@@ -97,10 +95,6 @@ class AccuracyReport:
     variance: float
     per_fold: np.ndarray
     subspace_dimension: int
-
-    @property
-    def max_of_restart_means(self) -> float:
-        return float(self.per_fold.mean(axis=(0, 1)).max())
 
 
 def knn_cosine_classify(train_features, train_labels, test_features) -> np.ndarray:

@@ -36,7 +36,7 @@ class NnlsSolution:
     A (V,) target gives (I,) ``coefficients`` and a float ``residual_norm``, a
     (V, M) block (I, M) and (M,); ``iterations`` sums over columns. ``capped``
     lists the columns that hit the iteration cap before the KKT conditions
-    held (they return their best iterate); ``optimal`` is True if none did.
+    held (they return their last iterate); ``optimal`` is True if none did.
     """
 
     coefficients: np.ndarray
@@ -98,18 +98,16 @@ def _solve_free_sets(G, Atb, A, B, free):
     return z
 
 
-def _active_set(A, B, G, Atb, usable, threshold, max_iter, target_norm=None):
+def _active_set(A, B, G, Atb, usable, threshold, max_iter):
     """Coefficients, iteration counts and KKT flags of the targets in ``B``'s rows.
 
-    A row that hits the cap keeps its last iterate. Given ``target_norm``
-    (updated in place), every row returns its best iterate instead: the last
-    of least residual if at most the target's norm, else 0.
+    A row that hits the cap keeps its last iterate: active-set iterates never
+    increase the residual (Lawson and Hanson 1974, ch. 23), so it is the best.
     """
     M, n = B.shape[0], A.shape[1]
     x = np.zeros((M, n))
     free = np.zeros((M, n), dtype=bool)
     w = Atb.copy()
-    best_x, best_residual = x.copy(), target_norm
     iterations = np.zeros(M, dtype=int)
     optimal = np.zeros(M, dtype=bool)
     live = np.arange(M)
@@ -144,13 +142,8 @@ def _active_set(A, B, G, Atb, usable, threshold, max_iter, target_norm=None):
             z[back] = zr = _solve_free_sets(G, Atbs[back], A, Bs[back], fr)
             back = back[(fr & (zr <= 0.0)).any(axis=1)]
         x[live], free[live] = z, fs
-        if best_residual is not None:
-            residual = _norms(Bs - _matvec(A, z))
-            better = residual <= best_residual[live]
-            best_residual[live[better]] = residual[better]
-            best_x[live[better]] = z[better]
         w[live] = Atbs - _matvec(G, z)
-    return (x if best_residual is None else best_x), iterations, optimal
+    return x, iterations, optimal
 
 
 def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
@@ -159,9 +152,10 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
     ``target`` is a (V,) vector or a (V, M) block whose columns are solved
     together, each with exactly the result it gets alone. A column's KKT
     threshold is derived from it and the dictionary (module docstring); its
-    iteration cap defaults to 3·I. All-zero dictionary columns are excluded
-    (coefficient 0) with one warning. Raises ``ValueError`` when ``A^T A`` is
-    not finite, or naming the first column whose ``A^T b`` or norm is not.
+    iteration cap defaults to 3·I. All-zero dictionary columns, and columns whose
+    squared norm underflows, get coefficient 0 and one warning per kind. Raises
+    ``ValueError`` when ``A^T A`` is not finite, or naming the first column
+    whose ``A^T b`` or norm is not.
     """
     A = np.asarray(dictionary, dtype=float)
     b = np.asarray(target, dtype=float)
@@ -173,9 +167,13 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
     G = A.T @ A
     if not np.isfinite(G).all():
         raise ValueError(f"dictionary {_TOO_LARGE}")
-    usable = np.diag(G) > 0.0
-    if not usable.all():
-        warnings.warn(f"dictionary has {int((~usable).sum())} all-zero column(s)", stacklevel=2)
+    usable, zero = np.diag(G) > 0.0, ~A.any(axis=0)
+    if zero.any():
+        warnings.warn(f"dictionary has {int(zero.sum())} all-zero column(s)", stacklevel=2)
+    tiny = np.flatnonzero(~usable & ~zero)
+    if tiny.size:
+        warnings.warn(f"dictionary has {tiny.size} column(s) too small to use in float64: "
+                      f"{tiny.tolist()}", stacklevel=2)
     scale = _KKT_EPS * max(V, I) * np.abs(A).sum(axis=0).max(initial=0.0)
 
     coefficients, residual = np.empty((I, M)), np.empty(M)
@@ -186,22 +184,17 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
         # One contiguous row per target column: BLAS rounds ``A^T b`` differently
         # for strided and contiguous b, and results must not depend on the caller's layout.
         B = np.ascontiguousarray(targets[:, block].T)
-        Atb, target_norm = _matvec(A.T, B), _norms(B)
-        finite = np.isfinite(Atb).all(axis=1) & np.isfinite(target_norm)
+        Atb = _matvec(A.T, B)
+        finite = np.isfinite(Atb).all(axis=1) & np.isfinite(_norms(B))
         if not finite.all():
             column = start + int(np.argmin(finite))
             raise ValueError(f"sample column {column}: dictionary or target {_TOO_LARGE}")
         threshold = scale * np.abs(B).max(axis=1, initial=0.0)
         x, counts, optimal = _active_set(A, B, G, Atb, usable, threshold, max_iter)
-        # Only a capped column needs its iterates' residuals (it returns its best
-        # iterate): solve those columns again, tracking them.
-        stuck = np.flatnonzero(~optimal)
-        x[stuck] = _active_set(A, B[stuck], G, Atb[stuck], usable, threshold[stuck], max_iter,
-                               target_norm[stuck])[0]
         coefficients[:, block] = x.T
         residual[block] = _norms(B - _matvec(A, x))
         iterations += int(counts.sum())
-        capped += (start + stuck).tolist()
+        capped += (start + np.flatnonzero(~optimal)).tolist()
     solved = (coefficients, residual) if b.ndim == 2 else (coefficients[:, 0], float(residual[0]))
     return NnlsSolution(*solved, iterations, tuple(capped))
 

@@ -1,4 +1,5 @@
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -305,6 +306,25 @@ def test_a_size_too_large_to_allocate_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert "gsnmf evaluate: Unable to allocate 6.55 TiB" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300, 0.5])
+def test_a_label_that_is_not_an_int64_exits_3_without_a_warning(tmp_path, capsys, bad):
+    # Casting NaN, inf or 1e300 to int warns; the labels are checked before the cast.
+    from gsnmf import cli
+
+    io.save_matrix(np.ones((4, 6)), tmp_path / "X.bin", "binary")
+    labels = np.array([0.0, 0.0, 0.0, 1.0, 1.0, bad], dtype="<f8")
+    # save_matrix refuses non-finite entries, so the file is written by hand.
+    header = io.MATRIX_MAGIC + bytes([io.FORMAT_VERSION]) + struct.pack("<QQ", 1, 6)
+    (tmp_path / "y.bin").write_bytes(header + labels.tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["train", "--data", str(tmp_path / "X.bin"), "--labels",
+                         str(tmp_path / "y.bin"), "--dict-size", "2",
+                         "--out", str(tmp_path / "m.gsnm")])
+    assert code == 3
+    assert f"{tmp_path / 'y.bin'}: labels must be integers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

@@ -8,7 +8,6 @@ from gsnmf.model import (
     PriorSettings,
     build_group_hyperprior,
     sample_model,
-    sample_poisson_mixing,
 )
 from gsnmf.numerics import dirichlet_expected_log
 
@@ -142,20 +141,19 @@ def test_huge_rate_indicators_flatten_the_data():
 
 
 def test_poisson_stage_mean_matches_intensity():
-    # Monte-Carlo oracle: with factors held fixed, the empirical mean of the
-    # resampled observations should sit within 3 standard errors of T @ V.
-    hyper = _generator_hyper(V=5, I=4, C=2, T=8)
-    groups = GroupAssignment(2, np.arange(8) % 2)
-    _, truth = sample_model(hyper, groups, seed=21)
+    # Monte-Carlo oracle on one large draw: given its own intensity T @ V,
+    # each count standardized as (X - mu) / sqrt(mu) has mean 0 and variance
+    # 1. Cells of intensity below 1 are left out: their standardized counts
+    # are too skewed for a variance check at this size.
+    hyper = _generator_hyper(V=60, I=4, C=2, T=400)
+    groups = GroupAssignment(2, np.arange(400) % 2)
+    X, truth = sample_model(hyper, groups, seed=21)
     intensity = truth.T_true @ truth.V_true
-    n = 10_000
-    rng = np.random.default_rng(77)
-    total = np.zeros_like(intensity)
-    for _ in range(n):
-        total += sample_poisson_mixing(truth.T_true, truth.V_true, rng)
-    standard_error = np.sqrt(intensity / n)
-    deviation = np.abs(total / n - intensity)
-    assert (deviation <= 3.0 * standard_error + 1e-9).all()
+    used = intensity >= 1.0
+    z = (X[used] - intensity[used]) / np.sqrt(intensity[used])
+    assert z.size >= 5000
+    assert abs(z.mean()) <= 3.0 / np.sqrt(z.size)
+    assert abs(z.var() - 1.0) <= 0.05
 
 
 def test_exponential_coefficients_have_variance_equal_to_squared_mean():

@@ -304,7 +304,6 @@ def test_report_accuracy_statistics_are_consistent(planted_dataset):
     assert report.max_accuracy >= report.mean_accuracy
     assert report.variance >= 0.0
     assert cells.min() <= report.mean_accuracy <= cells.max()
-    assert 0.0 <= report.max_of_restart_means <= 1.0
 
 
 def test_parameter_sweep_single_setting_and_duplicates(planted_dataset):

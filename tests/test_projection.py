@@ -81,6 +81,17 @@ def test_zero_columns_are_dropped_with_warning():
     assert sol.coefficients[0] == pytest.approx(2.0)
 
 
+def test_a_column_whose_squared_norm_underflows_is_not_called_all_zero():
+    # 1e-170 squared underflows to 0, so the column cannot be used, but it is not zero.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        coeffs = project_matrix([[1e-170, 1.0], [0.0, 1.0], [0.0, 0.5]], [[1e-170], [0.0], [0.0]])
+    assert [str(w.message) for w in caught] == [
+        "dictionary has 1 column(s) too small to use in float64: [0]"
+    ]
+    assert coeffs[0, 0] == 0.0
+
+
 def test_iteration_cap_returns_flagged_best_iterate():
     rng = np.random.default_rng(5)
     A = rng.random((6, 4))
@@ -93,13 +104,23 @@ def test_iteration_cap_returns_flagged_best_iterate():
 
 
 def test_residual_non_increasing_in_iteration_budget():
+    # A capped column returns its last iterate, which is its best only because
+    # active-set iterates never raise the residual: checked on well-conditioned
+    # 7x5 instances and on ill-conditioned ones, at every cap from 1 to I + 1.
     rng = np.random.default_rng(29)
-    for _ in range(20):
-        A = rng.random((7, 5))
-        b = rng.random(7) * 2.0
-        residuals = [nnls(A, b, max_iter=k).residual_norm for k in range(1, 8)]
-        assert all(r2 <= r1 + 1e-12 for r1, r2 in zip(residuals, residuals[1:]))
-        assert residuals[0] <= np.linalg.norm(b) + 1e-12
+    instances = [(rng.random((7, 5)), rng.random(7) * 2.0) for _ in range(20)]
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        rows, cols, rank = rng.integers(1, [25, 9, 9])
+        instances.append(ill_conditioned_instance(
+            rng, rows, cols, rank, rng.uniform(0.0, 8.0), rng.choice(["collinear", "scaled"]),
+            rng.random() < 0.5,
+        ))
+    for A, b in instances:
+        slack = 1e-12 * np.linalg.norm(b)
+        residuals = [nnls(A, b, max_iter=k).residual_norm for k in range(1, A.shape[1] + 2)]
+        assert max(residuals) <= np.linalg.norm(b) + slack
+        assert all(r2 <= r1 + slack for r1, r2 in zip(residuals, residuals[1:]))
 
 
 def test_rejects_bad_arguments():
