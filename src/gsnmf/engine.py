@@ -25,12 +25,23 @@ ones. On a 2-vCPU host, batching was 2.7x faster than one restart at a
 time at 11.5k data cells (4 restarts, V=40, T=72), 1.1-2x at 60k-100k and
 0.76-0.82x at 120k-160k (V=T=200), so a batch spans at most
 ``_BATCH_ELEMENTS`` cells (R·V·T).
+
+A fit that bounds every sweep of several overlaps the bound of sweep k,
+on one helper thread, with sweep k + 1, where the process may run on two
+CPUs or more and OpenBLAS's thread count can be lowered: while it does,
+OpenBLAS runs one thread fewer, so the bound takes the core its idle
+worker would spin on. Both threads only read the state of sweep k, so
+every output is bitwise the serial fit's.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
+import threading
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -351,25 +362,115 @@ class FitResult:
         return self.bound_trace[-1][1]
 
 
+@cache
+def _blas_thread_setter():
+    """``openblas_set_num_threads_local`` of the OpenBLAS numpy has loaded, or None.
+
+    Found through ``/proc/self/maps``, so it serves numpy's bundled library
+    and a system one alike, and never loads a library. It sets the thread
+    count of the whole process and returns the previous count.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            mapped = {line.split(None, 5)[-1].strip() for line in maps}
+    except OSError:
+        return None
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p).lower()):
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            setter = library.openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        return setter
+    return None
+
+
+# Overlapped fits running in this process, and the OpenBLAS thread count
+# that the first of them lowered and the last restores.
+_BLAS_LOCK = threading.Lock()
+_blas_fits = 0
+_blas_threads = 1
+
+
+@contextlib.contextmanager
+def _bound_helper(config: FitConfig):
+    """A one-thread executor for the bounds of a fit that overlaps them, else None.
+
+    A fit overlaps when it bounds every sweep of several, the process may
+    run on two CPUs or more, and OpenBLAS's thread count can be lowered.
+    While any overlapped fit runs, OpenBLAS runs one thread fewer (at
+    least 1), which makes room for the helper.
+    """
+    global _blas_fits, _blas_threads
+    wanted = config.compute_bound_every == 1 and config.max_sweeps > 1
+    cpus = len(os.sched_getaffinity(0)) if wanted and hasattr(os, "sched_getaffinity") else 1
+    setter = _blas_thread_setter() if cpus > 1 else None
+    if setter is None:
+        yield None
+        return
+    # Imported here: importing gsnmf loads no more than it needs.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _BLAS_LOCK:
+        if _blas_fits == 0:
+            # The setter is the only way to read the count: it returns the last one.
+            _blas_threads = setter(1)
+            setter(max(1, _blas_threads - 1))
+        _blas_fits += 1
+    try:
+        with ThreadPoolExecutor(1, thread_name_prefix="gsnmf-bound") as helper:
+            yield helper
+    finally:
+        with _BLAS_LOCK:
+            _blas_fits -= 1
+            if _blas_fits == 0:
+                setter(_blas_threads)
+
+
 def _fit_batch(X, hyper, groups, config: FitConfig, seeds) -> list[FitResult]:
     """Sweep one batch of restarts together for ``config.max_sweeps`` sweeps.
 
     ``X`` is the (R, V, T) stack of the restarts' data and ``groups`` their
-    assignments, all observed or all latent.
+    assignments, all observed or all latent. Given a ``_bound_helper``, the
+    bound of sweep k runs on it while sweep k + 1 runs here; bounds are
+    recorded in sweep order, and a failed bound raises before a failure of
+    the sweep it overlapped.
     """
     # The sweep and the bound read only the mode; assignments sit on Delta.
     mode = groups[0]
     offset = _bound_constants(X, hyper, mode)
     state = _init_states(hyper, groups, seeds)
     traces: list[list[tuple[int, float]]] = [[] for _ in seeds]
-    with np.errstate(over="ignore", invalid="ignore"):  # the finite checks name the failure
+
+    def bound(state, sweep):
+        # numpy's error state is per thread; the finite checks name the failure.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sweep, variational_bound(state, X, hyper, mode, sweep, constants=offset)
+
+    def record(sweep, bounds):
+        for trace, value in zip(traces, bounds):
+            trace.append((sweep, float(value)))
+
+    in_flight = None
+    with _bound_helper(config) as helper, np.errstate(over="ignore", invalid="ignore"):
         for sweep in range(1, config.max_sweeps + 1):
-            state = _sweep(state, X, hyper, mode, sweep)
+            try:
+                state = _sweep(state, X, hyper, mode, sweep)
+            finally:
+                # Runs after a failed sweep too, so a failed bound in flight
+                # is the error raised.
+                if in_flight is not None:
+                    record(*in_flight.result())
+                    in_flight = None
             if sweep % config.compute_bound_every and sweep != config.max_sweeps:
                 continue
-            bounds = variational_bound(state, X, hyper, mode, sweep, constants=offset)
-            for trace, bound in zip(traces, bounds):
-                trace.append((sweep, float(bound)))
+            if helper is None or sweep == config.max_sweeps:
+                record(*bound(state, sweep))
+            else:
+                state.reconstruction  # derived here, where the next sweep reads it too
+                in_flight = helper.submit(bound, state, sweep)
     return [FitResult(_take(state, j), traces[j], seed) for j, seed in enumerate(seeds)]
 
 

@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -431,21 +434,27 @@ def test_batched_restarts_match_separate_fits_bitwise(mode, restarts, monkeypatc
         groups = GroupAssignment.latent(hyper.dims[2])
     # Batches of two restarts: with three, a batch boundary falls inside.
     monkeypatch.setattr(engine, "_BATCH_ELEMENTS", 2 * X.size)
-    config = FitConfig(max_sweeps=30, compute_bound_every=4)
     seeds = [11, 5, 2024][:restarts]
-    results = fit_restarts(X, hyper, groups, config, seeds)
-    assert len(results) == restarts
-    for seed, result in zip(seeds, results):
-        assert result.state.E_t.shape == hyper.A_t.shape
-        assert_same_fit(result, fit(X, hyper, groups, dataclasses.replace(config, seed=seed)))
-        # The same fit through the single-state API, with no restart axis.
-        state = init_state(hyper, groups, seed=seed)
-        for sweep in range(1, config.max_sweeps + 1):
-            state = update_sweep(state, X, hyper, groups, sweep=sweep)
-        np.testing.assert_array_equal(result.state.t.alpha, state.t.alpha)
-        np.testing.assert_array_equal(result.state.E_v, state.E_v)
-        np.testing.assert_array_equal(result.state.Pi, state.Pi)
-        assert result.final_bound == variational_bound(state, X, hyper, groups)
+    # A bound every fourth sweep runs bound and sweep in turn; a bound every
+    # sweep overlaps each bound with the next sweep, where the platform allows.
+    for every in (4, 1):
+        config = FitConfig(max_sweeps=30, compute_bound_every=every)
+        results = fit_restarts(X, hyper, groups, config, seeds)
+        assert len(results) == restarts
+        for seed, result in zip(seeds, results):
+            assert result.state.E_t.shape == hyper.A_t.shape
+            assert_same_fit(result, fit(X, hyper, groups, dataclasses.replace(config, seed=seed)))
+            # The same fit through the single-state API, with no restart axis.
+            state = init_state(hyper, groups, seed=seed)
+            trace = []
+            for sweep in range(1, config.max_sweeps + 1):
+                state = update_sweep(state, X, hyper, groups, sweep=sweep)
+                if sweep % every == 0 or sweep == config.max_sweeps:
+                    trace.append((sweep, variational_bound(state, X, hyper, groups)))
+            np.testing.assert_array_equal(result.state.t.alpha, state.t.alpha)
+            np.testing.assert_array_equal(result.state.E_v, state.E_v)
+            np.testing.assert_array_equal(result.state.Pi, state.Pi)
+            assert result.bound_trace == trace
 
 
 # stacked: True passes one (R, V, T) array, False a list of distinct
@@ -559,13 +568,16 @@ def assert_monotone_and_conserving_or_named_failure(X, hyper, groups):
 
 
 # Prior shapes of the rate indicators (a) and the dictionary (a_t) range over
-# twelve and five orders of magnitude. At a_t = 1e-3, exp(digamma(a_t))
-# underflows and a fit can lose its counts, which must raise.
+# twelve and five orders of magnitude, the dictionary's scale (b_t) over nine.
+# At a_t = 1e-3, exp(digamma(a_t)) underflows and a fit can lose its counts,
+# which must raise. These fits bound every sweep, so where the platform
+# allows they overlap each bound with the next sweep.
 PROPERTY_PRIORS = dict(
     top=st.sampled_from([0, 1, 10, 1000, 10**12]),
     a=st.sampled_from([1e-8, 1e-3, 1.0, 32.0, 1e4]),
     b=st.sampled_from([1e-6, 1.0, 1e6]),
     a_t=st.sampled_from([1e-3, 0.01, 0.6, 100.0]),
+    b_t=st.sampled_from([1e-3, 20.0, 1e6]),
     seed=st.integers(0, 2**16),
 )
 
@@ -580,13 +592,15 @@ PROPERTY_PRIORS = dict(
 )
 # Bounds far below the offset: zero data under a concentrated prior (about
 # -1e-3 against -8e4), and counts of 1e12 on one cell (-63 against -2.7e13).
-@example(V=1, per_group=1, T=1, mode="observed", top=0, a=1e4, b=1.0, a_t=0.6, seed=0)
-@example(V=1, per_group=1, T=1, mode="observed", top=10**12, a=1e-8, b=1e-6, a_t=0.01, seed=0)
+@example(V=1, per_group=1, T=1, mode="observed", top=0, a=1e4, b=1.0, a_t=0.6, b_t=20.0, seed=0)
+@example(
+    V=1, per_group=1, T=1, mode="observed", top=10**12, a=1e-8, b=1e-6, a_t=0.01, b_t=20.0, seed=0
+)
 def test_one_group_fits_are_monotone_or_name_the_failure(
-    V, per_group, T, mode, top, a, b, a_t, seed
+    V, per_group, T, mode, top, a, b, a_t, b_t, seed
 ):
     X = np.random.default_rng(seed).integers(0, top + 1, size=(V, T)).astype(float)
-    prior = PriorSettings(per_group=per_group, a_small=a, a_large=a, b_lambda=b, a_t=a_t)
+    prior = PriorSettings(per_group=per_group, a_small=a, a_large=a, b_lambda=b, a_t=a_t, b_t=b_t)
     groups = GroupAssignment(1, np.zeros(T, dtype=int))
     if mode == "latent":
         groups = GroupAssignment.latent(1)
@@ -602,10 +616,12 @@ def test_one_group_fits_are_monotone_or_name_the_failure(
     **PROPERTY_PRIORS,
 )
 def test_latent_fits_with_one_sample_per_group_are_monotone_or_name_the_failure(
-    V, per_group, C, contrast, top, a, b, a_t, seed
+    V, per_group, C, contrast, top, a, b, a_t, b_t, seed
 ):
     X = np.random.default_rng(seed).integers(0, top + 1, size=(V, C)).astype(float)
-    prior = PriorSettings(per_group=per_group, a_small=a, a_large=a * contrast, b_lambda=b, a_t=a_t)
+    prior = PriorSettings(
+        per_group=per_group, a_small=a, a_large=a * contrast, b_lambda=b, a_t=a_t, b_t=b_t
+    )
     groups = GroupAssignment.latent(C)
     assert_monotone_and_conserving_or_named_failure(X, prior.hyperparameters(V, C, C), groups)
 
@@ -686,3 +702,141 @@ def test_state_derives_its_reconstruction_once(mode):
         FitResult(update_sweep(fresh, X, hyper, groups)),
     )
     assert variational_bound(fresh, X, hyper, groups) == bounded
+
+
+def overlap_available():
+    """Whether a fit that bounds every sweep may overlap its bounds here."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return cpus > 1 and engine._blas_thread_setter() is not None
+
+
+@pytest.mark.parametrize(
+    "every, sweeps, overlapped",
+    [(1, 5, [1, 2, 3, 4]), (5, 5, []), (1, 1, [])],
+    ids=["every", "last", "one"],
+)
+def test_only_a_fit_bounding_every_sweep_overlaps_its_bounds(every, sweeps, overlapped, monkeypatch):
+    # The last sweep's bound has nothing to overlap; evaluate and sweep bound
+    # only the last sweep, so their fits start no thread.
+    if overlapped and not overlap_available():
+        pytest.skip("one CPU, or no OpenBLAS thread-count setter")
+    X, hyper, groups = small_problem()
+    bound = engine.variational_bound
+    on_helper = []
+
+    def recording(state, data, hyper, groups, sweep=None, constants=None):
+        if threading.current_thread() is not threading.main_thread():
+            on_helper.append(sweep)
+        return bound(state, data, hyper, groups, sweep, constants)
+
+    monkeypatch.setattr(engine, "variational_bound", recording)
+    fit(X, hyper, groups, FitConfig(max_sweeps=sweeps, compute_bound_every=every))
+    assert on_helper == overlapped
+
+
+# Sweep 3 leaves restart 1 a negative rate-indicator scale: its bound takes
+# the log of it, which numpy would warn about, while sweep 4 reads only the
+# (finite) means. A NaN in restart 0's data makes sweep 4 fail on its own.
+FAILED_BOUND = "^non-finite bound contribution from the rate-indicator terms at sweep 3 in restart 1$"
+FAILED_SWEEP = "^non-finite values in Sigma_v at sweep 4 in restart 0$"
+
+
+@pytest.mark.parametrize(
+    "fails, error, restart",
+    [("bound", FAILED_BOUND, 1), ("both", FAILED_BOUND, 1), ("sweep", FAILED_SWEEP, 0)],
+    ids=["bound", "both", "sweep"],
+)
+def test_an_overlapped_bound_fails_as_a_serial_one_would(fails, error, restart, monkeypatch):
+    X, hyper, groups = small_problem()
+    sweep_fn = engine._sweep
+
+    def poisoned(state, X, hyper, groups, sweep):
+        if sweep == 4 and fails != "bound":
+            X = X.copy()
+            X[0, 0, 0] = np.nan
+        state = sweep_fn(state, X, hyper, groups, sweep)
+        if sweep == 3 and fails != "sweep":
+            state.lam.beta[1, 0, 0] = -1.0
+        return state
+
+    monkeypatch.setattr(engine, "_sweep", poisoned)
+    threads = threading.active_count()
+    with pytest.raises(NumericalError, match=error) as info:
+        fit_restarts(X, hyper, groups, FitConfig(max_sweeps=6), [1, 2])
+    assert info.value.restart == restart
+    # The error is raised only once the bound in flight is done.
+    assert threading.active_count() == threads
+
+
+def blas_threads(setter):
+    """OpenBLAS's thread count, which its setter reports only by replacing it."""
+    count = setter(1)
+    setter(count)
+    return count
+
+
+@pytest.fixture
+def blas_setter():
+    """OpenBLAS's thread-count setter, with two threads for the test, so
+    that a fit which lowers the count and does not restore it shows."""
+    setter = engine._blas_thread_setter()
+    if setter is None:
+        pytest.skip("no OpenBLAS thread-count setter in this process")
+    previous = setter(2)
+    yield setter
+    setter(previous)
+
+
+def test_an_overlapped_fit_restores_the_blas_thread_count(blas_setter, monkeypatch):
+    before = blas_threads(blas_setter)
+    X, hyper, groups = small_problem()
+    bound = engine.variational_bound
+    during = []
+
+    def recording(state, *args, **kwargs):
+        # The last sweep's bound runs here, with no other BLAS work in flight.
+        if threading.current_thread() is threading.main_thread():
+            during.append(blas_threads(blas_setter))
+        return bound(state, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "variational_bound", recording)
+    fit(X, hyper, groups, FitConfig(max_sweeps=5))
+    assert during == [max(1, before - 1) if overlap_available() else before]
+    assert blas_threads(blas_setter) == before
+    # As in test_a_sweep_that_loses_the_counts_is_a_numerical_error.
+    hyper = PriorSettings(per_group=1, a_t=1e-3).hyperparameters(4, 2, 6)
+    with pytest.raises(NumericalError, match="counts not conserved"):
+        fit(np.full((4, 6), 5.0), hyper, GroupAssignment(2, np.arange(6) % 2), FitConfig())
+    assert blas_threads(blas_setter) == before
+
+
+def test_concurrent_overlapped_fits_keep_their_bits_and_the_blas_thread_count(blas_setter):
+    X, hyper, groups = small_problem(seed=3)
+    configs = [FitConfig(max_sweeps=40, seed=seed) for seed in range(3)]
+    alone = [fit(X, hyper, groups, config) for config in configs]
+    before = blas_threads(blas_setter)
+    results, errors = {}, []
+
+    def run(config):
+        try:
+            results[config.seed] = fit(X, hyper, groups, config)
+        except BaseException as exc:  # re-raised below, on the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(config,)) for config in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+    for config, single in zip(configs, alone):
+        assert_same_fit(results[config.seed], single)
+    assert blas_threads(blas_setter) == before
+    assert engine._blas_fits == 0
