@@ -16,7 +16,9 @@ check and one stacked solve. numpy's stacked matmul, Cholesky and solve make
 the same BLAS or LAPACK call per item as on one column; with products taken as
 stacks of matrix-vector products and free sets grouped by exact size (never
 padded), each column is bitwise its own solve. ``nnls`` forms ``A^T A`` once
-per call and solves at most ``_BLOCK_ELEMENTS`` target entries at a time.
+per call and runs the active set over all its columns at once;
+``_BLOCK_ELEMENTS`` bounds only the (columns, V) copies for ``A^T b``, the
+thresholds and the residuals.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class NnlsSolution:
 # roughly the square of this ratio.
 _MAX_CHOLESKY_RATIO = 1e4
 
-# Target entries (V x columns) per nnls block; bounds its (columns, V) temporaries.
+# Target entries (V x columns) per (columns, V) copy for A^T b, thresholds and residuals.
 _BLOCK_ELEMENTS = 2**15
 
 _KKT_EPS = 10.0 * np.finfo(float).eps  # KKT rounding level per unit of scale (module docstring)
@@ -81,8 +83,8 @@ def _well_conditioned(blocks):
     return diagonals.max(axis=1) <= _MAX_CHOLESKY_RATIO * diagonals.min(axis=1)
 
 
-def _solve_free_sets(G, Atb, A, B, free):
-    """Row r solves row r's free set and is 0 off it."""
+def _solve_free_sets(G, Atb, A, targets, columns, free):
+    """Row r solves row r's free set, for target column ``columns[r]``, and is 0 off it."""
     z = np.zeros(free.shape)
     sizes = free.sum(axis=1)
     for size in sorted(set(sizes.tolist()) - {0}):  # np.unique imports numpy.ma (1.7 MiB)
@@ -94,17 +96,17 @@ def _solve_free_sets(G, Atb, A, B, free):
         rhs = Atb[solved, F[direct]][:, :, None]
         z[solved, F[direct]] = np.linalg.solve(blocks[direct], rhs)[:, :, 0]
         for r, support in zip(rows[~direct], F[~direct]):
-            z[r, support] = np.linalg.lstsq(A[:, support], B[r], rcond=None)[0]
+            z[r, support] = np.linalg.lstsq(A[:, support], targets[:, columns[r]], rcond=None)[0]
     return z
 
 
-def _active_set(A, B, G, Atb, usable, threshold, max_iter):
-    """Coefficients, iteration counts and KKT flags of the targets in ``B``'s rows.
+def _active_set(A, targets, G, Atb, usable, threshold, max_iter):
+    """Coefficients, iteration counts and KKT flags of the (V, M) ``targets``' columns.
 
     A row that hits the cap keeps its last iterate: active-set iterates never
     increase the residual (Lawson and Hanson 1974, ch. 23), so it is the best.
     """
-    M, n = B.shape[0], A.shape[1]
+    M, n = Atb.shape
     x = np.zeros((M, n))
     free = np.zeros((M, n), dtype=bool)
     w = Atb.copy()
@@ -120,9 +122,9 @@ def _active_set(A, B, G, Atb, usable, threshold, max_iter):
         if not live.size:
             break
         iterations[live] += 1
-        fs, xs, Bs, Atbs = free[live], x[live], B[live], Atb[live]
+        fs, xs, Atbs = free[live], x[live], Atb[live]
         fs[np.arange(live.size), np.argmax(gains[going], axis=1)] = True
-        z = _solve_free_sets(G, Atbs, A, Bs, fs)
+        z = _solve_free_sets(G, Atbs, A, targets, live, fs)
         # Step back: each pass zeroes a free coordinate, so at most |free|
         # passes. The blocking one is zeroed outright: rounding can leave it a
         # hair above zero, and the same free set would be solved forever.
@@ -139,7 +141,7 @@ def _active_set(A, B, G, Atb, usable, threshold, max_iter):
             fr &= xr > 0.0
             xr[~fr] = 0.0
             xs[back], fs[back] = xr, fr
-            z[back] = zr = _solve_free_sets(G, Atbs[back], A, Bs[back], fr)
+            z[back] = zr = _solve_free_sets(G, Atbs[back], A, targets, live[back], fr)
             back = back[(fr & (zr <= 0.0)).any(axis=1)]
         x[live], free[live] = z, fs
         w[live] = Atbs - _matvec(G, z)
@@ -176,27 +178,25 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
                       f"{tiny.tolist()}", stacklevel=2)
     scale = _KKT_EPS * max(V, I) * np.abs(A).sum(axis=0).max(initial=0.0)
 
-    coefficients, residual = np.empty((I, M)), np.empty(M)
-    iterations, capped = 0, []
+    Atb, threshold, residual = np.empty((M, I)), np.empty(M), np.empty(M)
     width = max(1, _BLOCK_ELEMENTS // max(1, V))
-    for start in range(0, M, width):
-        block = slice(start, start + width)
+    blocks = [slice(start, start + width) for start in range(0, M, width)]
+    for block in blocks:
         # One contiguous row per target column: BLAS rounds ``A^T b`` differently
         # for strided and contiguous b, and results must not depend on the caller's layout.
         B = np.ascontiguousarray(targets[:, block].T)
-        Atb = _matvec(A.T, B)
-        finite = np.isfinite(Atb).all(axis=1) & np.isfinite(_norms(B))
+        Atb[block] = _matvec(A.T, B)
+        finite = np.isfinite(Atb[block]).all(axis=1) & np.isfinite(_norms(B))
         if not finite.all():
-            column = start + int(np.argmin(finite))
+            column = block.start + int(np.argmin(finite))
             raise ValueError(f"sample column {column}: dictionary or target {_TOO_LARGE}")
-        threshold = scale * np.abs(B).max(axis=1, initial=0.0)
-        x, counts, optimal = _active_set(A, B, G, Atb, usable, threshold, max_iter)
-        coefficients[:, block] = x.T
-        residual[block] = _norms(B - _matvec(A, x))
-        iterations += int(counts.sum())
-        capped += (start + np.flatnonzero(~optimal)).tolist()
+        threshold[block] = scale * np.abs(B).max(axis=1, initial=0.0)
+    x, counts, optimal = _active_set(A, targets, G, Atb, usable, threshold, max_iter)
+    for block in blocks:
+        residual[block] = _norms(np.ascontiguousarray(targets[:, block].T) - _matvec(A, x[block]))
+    coefficients = np.ascontiguousarray(x.T)
     solved = (coefficients, residual) if b.ndim == 2 else (coefficients[:, 0], float(residual[0]))
-    return NnlsSolution(*solved, iterations, tuple(capped))
+    return NnlsSolution(*solved, int(counts.sum()), tuple(np.flatnonzero(~optimal).tolist()))
 
 
 def project_matrix(dictionary, samples) -> np.ndarray:

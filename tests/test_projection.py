@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -249,28 +250,36 @@ def test_an_overflowing_dictionary_is_named_without_a_column():
             project_matrix(A, np.ones((3, 4)))
 
 
-def test_nnls_solves_a_wide_target_a_block_at_a_time(monkeypatch):
-    # With blocks of 3 columns, 11 targets take 4 blocks: each column is
-    # bitwise its own solve, the zero-column warning comes once per call, and
-    # a bad target in a later block is named by its column in the whole target.
+def test_nnls_runs_one_active_set_over_a_wide_target(monkeypatch):
+    # With copies of 3 columns, 11 targets run one active set per call while
+    # their (columns, V) copies (A^T b, thresholds, residuals) come 3 columns
+    # at a time: each column is bitwise its own solve, the zero-column warning
+    # comes once per call, and a bad target is named by its column.
     rng = np.random.default_rng(31)
     A = np.column_stack([rng.random((6, 3)), np.zeros(6)])
     S = np.asfortranarray(rng.random((6, 11)))
     monkeypatch.setattr(projection, "_BLOCK_ELEMENTS", 3 * A.shape[0] + 1)
-    widths = []
-    active_set = projection._active_set
+    widths, copies = [], []
+    active_set, norms = projection._active_set, projection._norms
 
-    def spy(A, B, *args):
-        widths.append(B.shape[0])
-        return active_set(A, B, *args)
+    def spy(A, targets, *args):
+        widths.append(targets.shape[1])
+        return active_set(A, targets, *args)
+
+    def norms_spy(rows):
+        copies.append(rows.shape)
+        return norms(rows)
 
     monkeypatch.setattr(projection, "_active_set", spy)
+    monkeypatch.setattr(projection, "_norms", norms_spy)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         block = nnls(A, S)
         coeffs = project_matrix(A, S)
     assert [str(w.message) for w in caught] == ["dictionary has 1 all-zero column(s)"] * 2
-    assert [w for w in widths if w] == [3, 3, 3, 2] * 2
+    assert widths == [11, 11]
+    # Per call: the finiteness check, then the residuals, of each copy.
+    assert copies == [(3, 6), (3, 6), (3, 6), (2, 6)] * 4
     assert block.optimal and coeffs.flags.c_contiguous
     assert coeffs.tobytes() == block.coefficients.tobytes()
     with warnings.catch_warnings():
@@ -283,6 +292,55 @@ def test_nnls_solves_a_wide_target_a_block_at_a_time(monkeypatch):
     assert block.coefficients.tobytes() == expected.tobytes()
     assert block.residual_norm.tolist() == [s.residual_norm for s in singles]
     assert block.iterations == sum(s.iterations for s in singles)
+
+
+def test_a_fallback_solves_its_own_column_when_others_have_finished(monkeypatch):
+    # test_ill_conditioned_support_falls_back_to_lstsq's instance at column 3
+    # of 5: the others reach their KKT point in at most one iteration, so when
+    # column 3's (5, 2) support falls back to lstsq it is the only live row.
+    # The fallback must read column 3's target, not the target at its row.
+    a = np.array([2.0, 2.0, 2.0, 2.0, 0.0])
+    e = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
+    c = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+    A = np.column_stack([a, a + 1e-4 * e, c])
+    b = 2.0 * a + 1e-4 * e
+    S = np.column_stack([np.zeros(5), c, 2.0 * c, b, 0.5 * c])
+    solved = []
+    lstsq = np.linalg.lstsq
+
+    def spy(matrix, rhs, rcond=None):
+        solved.append((matrix.shape, np.array(rhs)))
+        return lstsq(matrix, rhs, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    for targets in (S, np.asfortranarray(S)):
+        solved.clear()
+        block = nnls(A, targets)
+        assert [shape for shape, _ in solved] == [(5, 2)]
+        assert solved[0][1].tobytes() == b.tobytes()
+        singles = [nnls(A, targets[:, m]) for m in range(5)]
+        iterations = [single.iterations for single in singles]
+        assert iterations[:3] + iterations[4:] == [0, 1, 1, 1] and iterations[3] > 1
+        assert block.iterations == sum(iterations)
+        expected = np.column_stack([single.coefficients for single in singles])
+        assert block.coefficients.tobytes() == expected.tobytes()
+        assert block.residual_norm.tolist() == [s.residual_norm for s in singles]
+
+
+def test_nnls_holds_less_than_its_target_in_temporaries():
+    # The active set's own state is (M, I); only the (columns, V) copies are
+    # as long as the target, and they are made a block at a time. One copy of
+    # the whole target at image size would exceed the target's own size.
+    rng = np.random.default_rng(3)
+    A = rng.gamma(0.5, 1.0, size=(1024, 50))
+    S = A @ (rng.gamma(1.0, 2.0, size=(50, 300)) * (rng.random((50, 300)) < 0.3))
+    tracemalloc.start()
+    try:
+        nnls(A, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < S.nbytes
 
 
 def test_project_matrix_is_bitwise_the_column_loop_at_image_size(monkeypatch):
