@@ -46,7 +46,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .model import GroupAssignment, Hyperparameters, as_data_matrix
-from .numerics import GammaFactor, dirichlet_expected_log, log_gamma
+from .numerics import GammaFactor, digamma, dirichlet_expected_log, log_gamma
 
 __all__ = [
     "NumericalError",
@@ -137,7 +137,8 @@ class VariationalState:
         """
         exp_lt = np.exp(self.t.log_mean)
         exp_lv = np.exp(self.v.log_mean)
-        return exp_lt, exp_lv, np.maximum(exp_lt @ exp_lv, _DENOM_FLOOR)
+        denom = exp_lt @ exp_lv
+        return exp_lt, exp_lv, np.maximum(denom, _DENOM_FLOOR, out=denom)
 
 
 def _take(state: VariationalState, index) -> VariationalState:
@@ -204,56 +205,67 @@ def init_state(hyper: Hyperparameters, groups: GroupAssignment, seed: int = 0) -
     return _take(_init_states(hyper, [groups], [seed]), 0)
 
 
+def _sweep_constants(X, hyper: Hyperparameters, groups: GroupAssignment, delta: np.ndarray):
+    """What every sweep of a fit reads unchanged: the data total of each
+    restart and, in observed mode, where ``Delta`` never changes, the
+    rate-indicator shape and its digamma (else None)."""
+    shape = hyper.A_lambda + delta.sum(axis=-2)[..., None, :]
+    return np.sum(X, axis=(-2, -1)), ((shape, digamma(shape)) if groups.observed else None)
+
+
 def _sweep(
     state: VariationalState,
     X: np.ndarray,
     hyper: Hyperparameters,
     groups: GroupAssignment,
     sweep: int | None,
+    total: np.ndarray | None = None,
+    lam_shape: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> VariationalState:
     """One full coordinate-ascent sweep of a state or a batch; returns a fresh state.
 
     ``X`` is the (V, T) matrix of a single state or the (R, V, T) stack of a
     batch, one matrix per restart. Of ``groups`` only the mode (observed or
-    latent) is read; the assignment itself sits on ``Delta``.
+    latent) is read; the assignment itself sits on ``Delta``. ``total`` and
+    ``lam_shape`` come from ``_sweep_constants``, or else are derived here.
     Reconstruction denominators are floored at a tiny positive value, so
-    cells of the data with value 0 contribute zero counts.
+    cells of the data with value 0 contribute zero counts. No array of
+    ``state`` is written: its bound may run on another thread meanwhile.
     """
     exp_lt, exp_lv, denom = state.reconstruction
 
     # Count allocation: expected per-feature counts under the current
     # multinomial posterior, contracted over samples resp. dimensions.
     xi = X / denom
-    Sigma_v = exp_lv * (np.swapaxes(exp_lt, -1, -2) @ xi)
-    Sigma_t = exp_lt * (xi @ np.swapaxes(exp_lv, -1, -2))
+    Sigma_v = np.swapaxes(exp_lt, -1, -2) @ xi
+    Sigma_v *= exp_lv
+    Sigma_t = xi @ np.swapaxes(exp_lv, -1, -2)
+    Sigma_t *= exp_lt
     # xi spans (R, V, T); freed here, it no longer adds to the peak of the
     # digamma passes below.
     del xi
     _check_finite("Sigma_v", Sigma_v, sweep)
     _check_finite("Sigma_t", Sigma_t, sweep)
     # A denominator at the floor allocates none of its cell's counts.
-    allocated, total = Sigma_v.sum(axis=(-2, -1)), np.sum(X, axis=(-2, -1))
+    allocated = Sigma_v.sum(axis=(-2, -1))
+    total = np.sum(X, axis=(-2, -1)) if total is None else total
     _require(abs(allocated - total) <= 1e-10 * total, "counts not conserved in Sigma_v", sweep)
 
     # Dictionary posterior (uses the pre-sweep coefficient means).
-    t = GammaFactor(
-        hyper.A_t + Sigma_t,
-        1.0 / (1.0 / hyper.B_t + state.v.mean.sum(axis=-1)[..., None, :]),
-    )
+    rate_t = 1.0 / hyper.B_t + state.v.mean.sum(axis=-1)[..., None, :]
+    t = GammaFactor(hyper.A_t + Sigma_t, np.divide(1.0, rate_t, out=rate_t))
     _check_finite("E_t", t.mean, sweep)
 
     # Coefficient posterior (uses the fresh dictionary means and the current
     # responsibility-weighted rate indicators).
     rate_v = state.lam.mean @ np.swapaxes(state.Delta, -1, -2) + t.mean.sum(axis=-2)[..., :, None]
-    v = GammaFactor(1.0 + Sigma_v, 1.0 / rate_v)
+    v = GammaFactor(1.0 + Sigma_v, np.divide(1.0, rate_v, out=rate_v))
     _check_finite("E_v", v.mean, sweep)
 
     # Rate-indicator posterior (uses the fresh coefficient means).
-    counts = state.Delta.sum(axis=-2)
-    lam = GammaFactor(
-        hyper.A_lambda + counts[..., None, :],
-        1.0 / (1.0 / hyper.B_lambda + v.mean @ state.Delta),
-    )
+    alpha, psi = lam_shape or (hyper.A_lambda + state.Delta.sum(axis=-2)[..., None, :], None)
+    rate_lam = 1.0 / hyper.B_lambda + v.mean @ state.Delta
+    lam = GammaFactor(alpha, np.divide(1.0, rate_lam, out=rate_lam), psi)
     _check_finite("E_lambda", lam.mean, sweep)
 
     delta = state.Delta
@@ -279,7 +291,8 @@ def _sweep(
 def update_sweep(state, data, hyper, groups, sweep=None) -> VariationalState:
     """One coordinate-ascent sweep of a single state; returns a fresh state.
 
-    The fit loop sweeps its batches of restarts through the same ``_sweep``.
+    The fit loop sweeps its batches of restarts through the same ``_sweep``,
+    with the constants of ``_sweep_constants`` derived once per fit.
     """
     return _sweep(state, data, hyper, groups, sweep)
 
@@ -300,9 +313,11 @@ def _bound_constants(data, hyper: Hyperparameters, groups: GroupAssignment) -> f
     return offset
 
 
-def _gamma_terms(q: GammaFactor, expected_log_prior) -> np.ndarray:
-    """Expected log prior (less its constant normalizer) plus entropy of a gamma factor."""
-    return np.sum(expected_log_prior + q.entropy(), axis=(-2, -1))
+def _gamma_terms(q: GammaFactor, expected_log_prior: np.ndarray) -> np.ndarray:
+    """Expected log prior (less its constant normalizer; a fresh array of the
+    factor's shape, which is written) plus entropy of a gamma factor."""
+    expected_log_prior += q.entropy()
+    return np.sum(expected_log_prior, axis=(-2, -1))
 
 
 def variational_bound(
@@ -327,9 +342,11 @@ def variational_bound(
     cells = (-2, -1)
     t, v, lam = state.t, state.v, state.lam
     delta_t = np.swapaxes(state.Delta, -1, -2)
+    log_denom = np.log(state.reconstruction[2])
+    log_denom *= data
     terms = {
         "constant": _bound_constants(data, hyper, groups) if constants is None else constants,
-        "mixing": np.sum(data * np.log(state.reconstruction[2]), axis=cells)
+        "mixing": np.sum(log_denom, axis=cells)
         - (t.mean.sum(axis=-2)[..., None, :] @ v.mean.sum(axis=-1)[..., :, None])[..., 0, 0],
         "dictionary": _gamma_terms(t, (hyper.A_t - 1.0) * t.log_mean - t.mean / hyper.B_t),
         "coefficient": _gamma_terms(v, lam.log_mean @ delta_t - (lam.mean @ delta_t) * v.mean),
@@ -442,6 +459,7 @@ def _fit_batch(X, hyper, groups, config: FitConfig, seeds) -> list[FitResult]:
     mode = groups[0]
     offset = _bound_constants(X, hyper, mode)
     state = _init_states(hyper, groups, seeds)
+    fixed = _sweep_constants(X, hyper, mode, state.Delta)
     traces: list[list[tuple[int, float]]] = [[] for _ in seeds]
 
     def bound(state, sweep):
@@ -457,7 +475,7 @@ def _fit_batch(X, hyper, groups, config: FitConfig, seeds) -> list[FitResult]:
     with _bound_helper(config) as helper, np.errstate(over="ignore", invalid="ignore"):
         for sweep in range(1, config.max_sweeps + 1):
             try:
-                state = _sweep(state, X, hyper, mode, sweep)
+                state = _sweep(state, X, hyper, mode, sweep, *fixed)
             finally:
                 # Runs after a failed sweep too, so a failed bound in flight
                 # is the error raised.

@@ -114,6 +114,11 @@ class Hyperparameters:
         object.__setattr__(self, "A_lambda", _positive_matrix(self.A_lambda, (I, C), "A_lambda"))
         object.__setattr__(self, "B_lambda", _positive_matrix(self.B_lambda, (I, C), "B_lambda"))
         object.__setattr__(self, "U", _positive_matrix(self.U, (T, C), "U"))
+        # The sweep divides by the prior scales; 1 / x overflows for x up to this.
+        least = 1.0 / np.finfo(float).max
+        for name in ("B_t", "B_lambda"):
+            if np.any(getattr(self, name) <= least):
+                raise ValueError(f"{name} entries must be > {least:.4g}: the sweep divides by them")
 
     @property
     def dims(self) -> tuple[int, int, int, int]:

@@ -12,7 +12,7 @@ shifted argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -24,9 +24,10 @@ __all__ = [
 ]
 
 # Entries below _SHIFT are moved up by exactly _SHIFT recurrence steps, so
-# the asymptotic tails below only ever see arguments >= 8.
-_SHIFT = 8
-_SHIFT_STEPS = np.arange(_SHIFT - 1.0, -1.0, -1.0)[:, None]
+# the asymptotic tails below only ever see arguments >= 8. The steps are
+# floats: numpy adds a Python int to an array about twice as slowly.
+_SHIFT = 8.0
+_STEPS = (7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0)
 _HALF_LOG_TWO_PI = 0.5 * np.log(2.0 * np.pi)
 
 # B_{2n} / (2n (2n-1)) for the Stirling tail of log-gamma, n = 1..7.
@@ -54,24 +55,34 @@ _DIGAMMA_TAIL = (
 
 def _as_positive_array(x, name: str) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    # min and max propagate NaN, which fails both comparisons.
+    if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):
         raise ValueError(f"{name} requires finite inputs > 0")
-    return arr, scalar
+    return arr, arr.ndim == 0
 
 
-def _shift_small(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raise every entry of the flat array z below the cutoff by exactly 8.
+def _small_entries(x, name: str):
+    """x as an array, its flat view, and the indices and values of its entries below 8."""
+    arr, _ = _as_positive_array(x, name)
+    flat = arr.ravel()
+    small = (flat < _SHIFT).nonzero()[0]
+    return arr, flat, small, flat[small]
 
-    Returns the shifted copy, the indices of the shifted entries and their
-    (8, n_small) block of recurrence arguments z + k, k = 7..0. Entries at
-    or above the cutoff take no part in the block.
-    """
-    small = np.flatnonzero(z < _SHIFT)
-    block = z[small] + _SHIFT_STEPS
-    shifted = z.copy()
-    shifted[small] += _SHIFT
-    return shifted, small, block
+
+def _tail(flat, small, x_small, coeffs):
+    """Shift the small entries up by exactly 8 (``x_small`` in place); return the
+    shifted flat copy z, 1/z, r = 1/z^2 and the Horner sum of ``coeffs`` in
+    powers of r. Squaring 1/z (not z) keeps huge arguments free of overflow."""
+    z = flat.copy()
+    z[small] = np.add(x_small, _SHIFT, out=x_small)
+    inv = 1.0 / z
+    r = inv * inv
+    tail = coeffs[-1] * r
+    for coeff in reversed(coeffs[1:-1]):
+        tail += coeff
+        tail *= r
+    tail += coeffs[0]
+    return z, inv, r, tail
 
 
 def log_gamma(x):
@@ -79,47 +90,41 @@ def log_gamma(x):
 
     Accepts scalars or arrays; raises ValueError off the domain.
     """
-    arr, scalar = _as_positive_array(x, "log_gamma")
-    z, small, block = _shift_small(arr.ravel())
-    # Horner evaluation of the Stirling tail in powers of 1/z^2, times 1/z.
-    # Squaring 1/z (not z) keeps huge arguments free of overflow.
-    inv = 1.0 / z
-    r = inv * inv
-    tail = _LOG_GAMMA_TAIL[-1] * r
-    for coeff in reversed(_LOG_GAMMA_TAIL[1:-1]):
-        tail += coeff
-        tail *= r
-    tail += _LOG_GAMMA_TAIL[0]
+    arr, flat, small, x_small = _small_entries(x, "log_gamma")
+    # log Gamma(x) = log Gamma(x + 8) - log(x (x + 1) ... (x + 7)), the
+    # product taken from x + 7 down to x, one row of n entries at a time.
+    prod = x_small + _STEPS[0]
+    for k in _STEPS[1:]:
+        prod *= x_small + k
+    z, inv, _, tail = _tail(flat, small, x_small, _LOG_GAMMA_TAIL)
     tail *= inv
-    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_TWO_PI + tail
-    # log Gamma(x) = log Gamma(x + 8) - log(x (x + 1) ... (x + 7)).
-    out[small] -= np.log(np.prod(block, axis=0))
+    out = z - 0.5
+    out *= np.log(z, out=inv)
+    out -= z
+    out += _HALF_LOG_TWO_PI
+    out += tail
+    out[small] -= np.log(prod, out=prod)
     out = out.reshape(arr.shape)
-    return float(out) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def digamma(x):
     """Logarithmic derivative of the gamma function for x > 0."""
-    arr, scalar = _as_positive_array(x, "digamma")
-    z, small, block = _shift_small(arr.ravel())
-    inv = 1.0 / z
-    r = inv * inv
-    tail = _DIGAMMA_TAIL[-1] * r
-    for coeff in reversed(_DIGAMMA_TAIL[1:-1]):
-        tail += coeff
-        tail *= r
-    tail += _DIGAMMA_TAIL[0]
+    arr, flat, small, x_small = _small_entries(x, "digamma")
+    # psi(x) = psi(x + 8) - (1/(x + 7) + ... + 1/x), in that order: the dominant 1/x
+    # enters last, and an entry's result does not depend on what else is in the array.
+    total = 1.0 / (x_small + _STEPS[0])
+    for k in _STEPS[1:]:
+        total += 1.0 / (x_small + k)
+    z, inv, r, tail = _tail(flat, small, x_small, _DIGAMMA_TAIL)
     tail *= r
-    out = np.log(z) - 0.5 * inv - tail
-    # psi(x) = psi(x + 8) - (1/x + 1/(x + 1) + ... + 1/(x + 7)); the
-    # dominant 1/x sits in the last row, so it enters the sum last. numpy
-    # sums the rows of an (8, n) block one by one, but the 8 terms of a lone
-    # entry pairwise; accumulate those one by one too, so an entry's result
-    # does not depend on what else is in the array.
-    np.reciprocal(block, out=block)
-    out[small] -= np.add.accumulate(block)[-1] if small.size == 1 else block.sum(axis=0)
+    out = np.log(z, out=z)
+    inv *= 0.5
+    out -= inv
+    out -= tail
+    out[small] -= total
     out = out.reshape(arr.shape)
-    return float(out) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,22 +134,34 @@ class GammaFactor:
     ``mean`` = alpha*beta and ``log_mean`` = E[log] = digamma(alpha) + log beta
     are computed once, when the factor is built; ``log_mean`` is strictly
     below log(mean) (Jensen). Only ``alpha`` is checked (by ``digamma``): a
-    non-finite scale passes through to the derived values.
+    non-finite scale passes through to the derived values. The third
+    argument is internal: digamma(alpha), from a caller that computed it
+    once for many factors; it is read, never written.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
+    _digamma_alpha: InitVar[np.ndarray | None] = None
     mean: np.ndarray = field(init=False, repr=False)
     log_mean: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _digamma_alpha):
+        fresh = _digamma_alpha is None
+        psi = digamma(self.alpha) if fresh else _digamma_alpha
+        log_beta = np.log(self.beta)
+        # Add into digamma's own output only where it has the full shape.
+        into = fresh and isinstance(psi, np.ndarray) and psi.shape == np.shape(log_beta)
         object.__setattr__(self, "mean", self.alpha * self.beta)
-        object.__setattr__(self, "log_mean", digamma(self.alpha) + np.log(self.beta))
+        object.__setattr__(self, "log_mean", np.add(psi, log_beta, out=psi if into else None))
 
     def entropy(self):
         """Elementwise entropy -(a-1) E[log] + a log beta + a + log-gamma(a)."""
         a = self.alpha
-        return -(a - 1.0) * self.log_mean + a * np.log(self.beta) + a + log_gamma(a)
+        h = -(a - 1.0) * self.log_mean  # has the full broadcast shape
+        h += a * np.log(self.beta)
+        h += a
+        h += log_gamma(a)
+        return h
 
 
 def dirichlet_expected_log(u):

@@ -386,6 +386,25 @@ def test_train_that_loses_the_counts_exits_4(tmp_path):
     assert not (tmp_path / "m.gsnm").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("option, value, name", [
+    ("--b-lambda", "5e-309", "B_lambda"), ("--b-lambda", "1e-310", "B_lambda"),
+    ("--b-t", "1e-310", "B_t"),
+])
+def test_a_prior_scale_without_a_finite_reciprocal_exits_3(tmp_path, command, option, value, name):
+    io.save_matrix(np.full((4, 6), 5.0), tmp_path / "X.bin", "binary")
+    io.save_matrix((np.arange(6) % 2)[None, :].astype(float), tmp_path / "y.bin", "binary")
+    args = {
+        "train": ["--dict-size", "2", "--out", "out"],
+        "evaluate": ["--per-group", "1", "--folds", "2", "--runs", "1", "--report", "out"],
+    }[command]
+    r = run_cli([command, "--data", "X.bin", "--labels", "y.bin", "--sweeps", "5",
+                 "--restarts", "1", option, value, *args], tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert f"gsnmf {command}: {name} entries must be > 5.563e-309" in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_latent_mode_without_labels(tmp_path):
     r = run_cli(generate_args(), tmp_path)
     assert r.returncode == 0, r.stderr

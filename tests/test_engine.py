@@ -704,6 +704,46 @@ def test_state_derives_its_reconstruction_once(mode):
     assert variational_bound(fresh, X, hyper, groups) == bounded
 
 
+def freeze(*values):
+    """Make every array in ``values`` read-only, looking into states,
+    factors and tuples."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        elif isinstance(value, tuple):
+            freeze(*value)
+        elif dataclasses.is_dataclass(value):
+            freeze(*(getattr(value, f.name) for f in dataclasses.fields(value)))
+
+
+@pytest.mark.parametrize("mode", ["observed", "latent"])
+def test_a_sweep_and_a_bound_only_read_the_previous_state(mode):
+    # The bound of sweep k runs on a helper thread while sweep k + 1 reads
+    # the same state, so neither may write into it or into the constants.
+    X, hyper, groups = small_problem(seed=5)
+    if mode == "latent":
+        groups = GroupAssignment.latent(hyper.dims[2])
+    X = np.broadcast_to(X, (3,) + X.shape)
+    start = engine._init_states(hyper, [groups] * 3, [1, 2, 3])
+
+    def run():
+        fixed = engine._sweep_constants(X, hyper, groups, start.Delta)
+        state = engine._sweep(start, X, hyper, groups, 1, *fixed)
+        state.reconstruction
+        return state, fixed
+
+    expected = run()
+    state, fixed = run()
+    freeze(state, state.reconstruction, fixed, X)
+    assert_same_fit(
+        FitResult(engine._sweep(state, X, hyper, groups, 2, *fixed)),
+        FitResult(engine._sweep(expected[0], X, hyper, groups, 2, *expected[1])),
+    )
+    np.testing.assert_array_equal(
+        variational_bound(state, X, hyper, groups), variational_bound(expected[0], X, hyper, groups)
+    )
+
+
 def overlap_available():
     """Whether a fit that bounds every sweep may overlap its bounds here."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -750,11 +790,11 @@ def test_an_overlapped_bound_fails_as_a_serial_one_would(fails, error, restart, 
     X, hyper, groups = small_problem()
     sweep_fn = engine._sweep
 
-    def poisoned(state, X, hyper, groups, sweep):
+    def poisoned(state, X, hyper, groups, sweep, *fixed):
         if sweep == 4 and fails != "bound":
             X = X.copy()
             X[0, 0, 0] = np.nan
-        state = sweep_fn(state, X, hyper, groups, sweep)
+        state = sweep_fn(state, X, hyper, groups, sweep, *fixed)
         if sweep == 3 and fails != "sweep":
             state.lam.beta[1, 0, 0] = -1.0
         return state

@@ -206,6 +206,19 @@ def test_latent_mode_sampler_draws_groups():
     assert len(np.unique(truth.z_true)) == 2
 
 
+@pytest.mark.parametrize("name", ["B_t", "B_lambda"])
+def test_hyperparameters_reject_a_scale_whose_reciprocal_overflows(name):
+    least = 1.0 / np.finfo(float).max
+    prior = dict(A_t=np.ones((3, 2)), B_t=np.ones((3, 2)), A_lambda=np.ones((2, 2)),
+                 B_lambda=np.ones((2, 2)), U=np.ones((5, 2)))
+    for tiny in (5e-309, least):
+        prior[name] = np.full_like(prior[name], tiny)
+        with pytest.raises(ValueError, match=f"^{name} entries must be > 5.563e-309"):
+            Hyperparameters(**prior)
+    prior[name] = np.full_like(prior[name], np.nextafter(least, 1.0))
+    assert np.isfinite(1.0 / getattr(Hyperparameters(**prior), name)).all()
+
+
 def test_hyperparameters_reject_inconsistent_shapes():
     with pytest.raises(ValueError):
         Hyperparameters(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,37 @@ def test_domain_errors():
         GammaFactor(-1.0, 2.0)
     with pytest.raises(ValueError):
         dirichlet_expected_log(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("fn", [digamma, log_gamma])
+@pytest.mark.parametrize(
+    "bad",
+    [[1.0, np.nan, 2.0], [[3.0, np.inf]], [-np.inf], [0.0, 9.0], [2.0, -1.0], np.nan],
+    ids=["nan", "inf", "-inf", "zero", "negative", "0-d nan"],
+)
+def test_domain_errors_in_arrays(fn, bad):
+    with pytest.raises(ValueError, match=f"^{fn.__name__} requires finite inputs > 0$"):
+        fn(np.array(bad))
+
+
+@pytest.mark.parametrize("fn", [digamma, log_gamma])
+def test_empty_and_0d_arrays(fn):
+    assert fn(np.empty(0)).shape == (0,)
+    assert fn(np.array(2.5)) == fn(2.5)
+    assert isinstance(fn(np.array(2.5)), float)
+
+
+@pytest.mark.parametrize("fn", [digamma, log_gamma])
+def test_temporaries_stay_below_ten_times_the_input(fn):
+    # Every entry below 8 takes the 8-step shift, the worst case.
+    x = np.random.default_rng(3).uniform(1e-3, 8.0, size=(1024, 50))
+    tracemalloc.start()
+    try:
+        fn(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * x.nbytes
 
 
 def test_matches_high_precision_oracle_on_sample():
@@ -146,6 +178,20 @@ def test_gamma_expectations_vectorized():
     q = GammaFactor(a, b)
     assert q.mean.shape == q.log_mean.shape == q.entropy().shape == (2, 2)
     assert np.allclose(q.mean, a * b)
+
+
+@pytest.mark.parametrize("alpha_shape, beta_shape", [((2, 3), (1, 1)), ((1, 1), (2, 3))])
+def test_gamma_factor_broadcasts_alpha_against_beta(alpha_shape, beta_shape):
+    rng = np.random.default_rng(4)
+    alpha = rng.uniform(0.5, 12.0, size=alpha_shape)
+    beta = rng.uniform(0.1, 3.0, size=beta_shape)
+    q = GammaFactor(alpha, beta)
+    a, b = np.broadcast_arrays(alpha, beta)
+    log_mean = digamma(a) + np.log(b)
+    entropy = -(a - 1.0) * log_mean + a * np.log(b) + a + log_gamma(a)
+    for got, want in ((q.mean, a * b), (q.log_mean, log_mean), (q.entropy(), entropy)):
+        assert got.shape == (2, 3)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_gamma_factor_passes_a_non_finite_scale_through():
