@@ -56,18 +56,16 @@ def main():
     print("final bounds per restart:",
           " ".join(f"{r.final_bound:.1f}" for r in results))
 
+    def diagonal_fraction(prev):
+        """Share of the per-label coefficient mass in the planted diagonal blocks."""
+        diagonal = sum(prev[g, g * per_group:(g + 1) * per_group].sum() for g in range(C))
+        return diagonal / prev.sum()
+
     state = results[0].state
     prevalence = group_prevalence(state.E_v, labels)
-    diagonal = sum(
-        prevalence[g, g * per_group:(g + 1) * per_group].sum() for g in range(C)
-    )
-    fraction = diagonal / prevalence.sum()
     truth_prevalence = group_prevalence(truth.V_true, labels)
-    truth_diagonal = sum(
-        truth_prevalence[g, g * per_group:(g + 1) * per_group].sum() for g in range(C)
-    )
-    print(f"diagonal mass fraction: fitted {fraction:.3f}, "
-          f"planted {truth_diagonal / truth_prevalence.sum():.3f}")
+    print(f"diagonal mass fraction: fitted {diagonal_fraction(prevalence):.3f}, "
+          f"planted {diagonal_fraction(truth_prevalence):.3f}")
 
     args.out.mkdir(parents=True, exist_ok=True)
     export_heatmap(prevalence, args.out / "prevalence_hinton.pgm", "hinton", cell_px=24)

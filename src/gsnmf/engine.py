@@ -69,6 +69,9 @@ _DENOM_FLOOR = 1e-300
 # Most data cells (restarts x V x T) that one batch of restarts may span.
 _BATCH_ELEMENTS = 100_000
 
+# numpy warnings that the finite checks of the sweep and the bound replace.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
 
 class NumericalError(RuntimeError):
     """A sweep or bound evaluation produced non-finite values; ``restart``
@@ -150,15 +153,15 @@ def _take(state: VariationalState, index) -> VariationalState:
     })
 
 
-def _require(ok, what: str, sweep: int | None):
-    """Raise ``NumericalError(what)`` naming the sweep and the first restart not ``ok``."""
-    if not np.all(ok):
-        at = "" if sweep is None else f" at sweep {sweep}"
-        raise NumericalError(f"{what}{at}", restart=int(np.argmin(np.ravel(ok))))
+def _require(ok: np.ndarray, sweep: int | None, *words: str):
+    """Raise ``words`` at the sweep for the first restart not ``ok``, built only then."""
+    if not ok.all():
+        at = () if sweep is None else (f"at sweep {sweep}",)
+        raise NumericalError(" ".join(words + at), restart=int(np.argmin(np.ravel(ok))))
 
 
 def _check_finite(name: str, arr: np.ndarray, sweep: int | None):
-    _require(np.isfinite(arr).all(axis=(-2, -1)), f"non-finite values in {name}", sweep)
+    _require(np.isfinite(arr).all(axis=(-2, -1)), sweep, "non-finite values in", name)
 
 
 def _start_responsibilities(groups: GroupAssignment, C: int, T: int) -> np.ndarray:
@@ -219,15 +222,15 @@ def _sweep(
     hyper: Hyperparameters,
     groups: GroupAssignment,
     sweep: int | None,
-    total: np.ndarray | None = None,
-    lam_shape: tuple[np.ndarray, np.ndarray] | None = None,
+    total: np.ndarray,
+    lam_shape: tuple[np.ndarray, np.ndarray] | None,
 ) -> VariationalState:
     """One full coordinate-ascent sweep of a state or a batch; returns a fresh state.
 
     ``X`` is the (V, T) matrix of a single state or the (R, V, T) stack of a
     batch, one matrix per restart. Of ``groups`` only the mode (observed or
     latent) is read; the assignment itself sits on ``Delta``. ``total`` and
-    ``lam_shape`` come from ``_sweep_constants``, or else are derived here.
+    ``lam_shape`` come from ``_sweep_constants`` (a None ``lam_shape``: derived here).
     Reconstruction denominators are floored at a tiny positive value, so
     cells of the data with value 0 contribute zero counts. No array of
     ``state`` is written: its bound may run on another thread meanwhile.
@@ -248,8 +251,7 @@ def _sweep(
     _check_finite("Sigma_t", Sigma_t, sweep)
     # A denominator at the floor allocates none of its cell's counts.
     allocated = Sigma_v.sum(axis=(-2, -1))
-    total = np.sum(X, axis=(-2, -1)) if total is None else total
-    _require(abs(allocated - total) <= 1e-10 * total, "counts not conserved in Sigma_v", sweep)
+    _require(abs(allocated - total) <= 1e-10 * total, sweep, "counts not conserved in Sigma_v")
 
     # Dictionary posterior (uses the pre-sweep coefficient means).
     rate_t = 1.0 / hyper.B_t + state.v.mean.sum(axis=-1)[..., None, :]
@@ -294,7 +296,8 @@ def update_sweep(state, data, hyper, groups, sweep=None) -> VariationalState:
     The fit loop sweeps its batches of restarts through the same ``_sweep``,
     with the constants of ``_sweep_constants`` derived once per fit.
     """
-    return _sweep(state, data, hyper, groups, sweep)
+    fixed = _sweep_constants(data, hyper, groups, state.Delta)
+    return _sweep(state, data, hyper, groups, sweep, *fixed)
 
 
 def _bound_constants(data, hyper: Hyperparameters, groups: GroupAssignment) -> float | np.ndarray:
@@ -361,7 +364,7 @@ def variational_bound(
         terms["group"] = np.sum(log_gamma(Y) - plogp, axis=cells) - np.sum(log_gamma(Y.sum(-1)), -1)
     total = 0.0
     for name, value in terms.items():
-        _require(np.isfinite(value), f"non-finite bound contribution from the {name} terms", sweep)
+        _require(np.isfinite(value), sweep, "non-finite bound contribution from the", name, "terms")
         total = total + value
     return float(total) if np.ndim(total) == 0 else total
 
@@ -463,16 +466,13 @@ def _fit_batch(X, hyper, groups, config: FitConfig, seeds) -> list[FitResult]:
     traces: list[list[tuple[int, float]]] = [[] for _ in seeds]
 
     def bound(state, sweep):
-        # numpy's error state is per thread; the finite checks name the failure.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return sweep, variational_bound(state, X, hyper, mode, sweep, constants=offset)
-
-    def record(sweep, bounds):
+        with np.errstate(**_QUIET):  # numpy's error state is per thread
+            bounds = variational_bound(state, X, hyper, mode, sweep, constants=offset)
         for trace, value in zip(traces, bounds):
             trace.append((sweep, float(value)))
 
     in_flight = None
-    with _bound_helper(config) as helper, np.errstate(over="ignore", invalid="ignore"):
+    with _bound_helper(config) as helper, np.errstate(**_QUIET):
         for sweep in range(1, config.max_sweeps + 1):
             try:
                 state = _sweep(state, X, hyper, mode, sweep, *fixed)
@@ -480,12 +480,12 @@ def _fit_batch(X, hyper, groups, config: FitConfig, seeds) -> list[FitResult]:
                 # Runs after a failed sweep too, so a failed bound in flight
                 # is the error raised.
                 if in_flight is not None:
-                    record(*in_flight.result())
+                    in_flight.result()
                     in_flight = None
             if sweep % config.compute_bound_every and sweep != config.max_sweeps:
                 continue
             if helper is None or sweep == config.max_sweeps:
-                record(*bound(state, sweep))
+                bound(state, sweep)
             else:
                 state.reconstruction  # derived here, where the next sweep reads it too
                 in_flight = helper.submit(bound, state, sweep)

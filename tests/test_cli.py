@@ -181,6 +181,28 @@ def test_sweep_selects_and_reports(workspace):
     assert payload["best_setting"] == json.loads((workspace / "grid.json").read_text())[payload["best_index"]]
 
 
+def test_prior_contrast_ladder(tmp_path):
+    # README's recipe at toy size: data from a contrast-16 generator, then a
+    # crossvalidated sweep over a_large in {1, 4, 16, 64, 256} at a_small = 1.
+    r = run_cli(["generate", "--out", "data.bin", "--truth", "truth", "--dims", "10,2,2,12",
+                 "--a-small", "1", "--a-large", "16", "--b-lambda", "1", "--seed", "4"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    ladder = [{"per_group": 1, "a_small": 1, "a_large": a, "b_lambda": 1}
+              for a in (1, 4, 16, 64, 256)]
+    (tmp_path / "grid.json").write_text(json.dumps(ladder))
+    r = run_cli(["sweep", "--grid", "grid.json", "--data", "data.bin", "--labels",
+                 "truth/z_true.bin", "--folds", "2", "--runs", "1", "--restarts", "1",
+                 "--sweeps", "5", "--seed", "4", "--report", "report.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["best_index"] == 2
+    reports = payload["reports"]
+    assert [x["max_accuracy"] for x in reports] == [0.75, 0.75, 1, 1, 1]
+    assert [x["mean_accuracy"] for x in reports] == [0.75, 0.75, 1, 1, 1]
+    assert [x["variance"] for x in reports] == [0.0625, 0.0625, 0, 0, 0]
+    assert {x["subspace_dimension"] for x in reports} == {2}
+
+
 def test_prevalence_writes_heatmap(workspace):
     r = run_cli(
         ["prevalence", "--model", "model.gsnm", "--labels", "truth/z_true.bin",
@@ -384,6 +406,22 @@ def test_train_that_loses_the_counts_exits_4(tmp_path):
     assert r.returncode == 4, r.stderr
     assert "counts not conserved in Sigma_v at sweep 1 in restart 0" in r.stderr
     assert not (tmp_path / "m.gsnm").exists()
+
+
+def test_a_prior_sum_that_overflows_exits_4_without_numpy_warnings(tmp_path):
+    # The smallest scale above the limit: 1 / B_lambda plus the coefficient
+    # sums overflows, so the coefficient scale is 0 and its log -inf. The
+    # child turns a RuntimeWarning into an error, so a warning would not exit 4.
+    io.save_matrix(np.full((4, 6), 5.0), tmp_path / "X.bin", "binary")
+    io.save_matrix((np.arange(6) % 2)[None, :].astype(float), tmp_path / "y.bin", "binary")
+    r = run_cli(["train", "--data", "X.bin", "--labels", "y.bin", "--dict-size", "2",
+                 "--sweeps", "5", "--restarts", "1", "--b-lambda", "5.56268464626801e-309",
+                 "--out", "m.gsnm"], tmp_path)
+    assert r.returncode == 4, r.stderr
+    assert r.stderr == (
+        "gsnmf train: numerical failure: non-finite bound contribution from the "
+        "coefficient terms at sweep 1 in restart 0\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])

@@ -362,7 +362,8 @@ def test_a_non_finite_offset_is_named():
         variational_bound(state, X, hyper, groups, sweep=3, constants=np.inf)
     stack = np.broadcast_to(X, (3,) + X.shape)
     start = engine._init_states(hyper, [groups] * 3, [1, 2, 3])
-    batch = engine._sweep(start, stack, hyper, groups, 1)
+    fixed = engine._sweep_constants(stack, hyper, groups, start.Delta)
+    batch = engine._sweep(start, stack, hyper, groups, 1, *fixed)
     offset = engine._bound_constants(stack, hyper, groups)
     offset[1] = np.nan
     with pytest.raises(NumericalError, match="constant terms at sweep 1$") as info:
