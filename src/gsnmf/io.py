@@ -14,6 +14,7 @@ non-positive or non-finite alpha or beta. Both formats round-trip bitwise.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -51,8 +52,11 @@ class FormatError(ValueError):
 def _atomic_write(path, payload: bytes):
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # still there only if a step above failed
 
 
 def _matrix_block(matrix: np.ndarray) -> bytes:
@@ -83,7 +87,8 @@ def save_matrix(matrix, path, format: str = "binary"):
     if format == "binary":
         _atomic_write(path, MATRIX_MAGIC + bytes([FORMAT_VERSION]) + _matrix_block(m))
     elif format == "csv":
-        lines = "\n".join(",".join(f"{v:.17g}" for v in row) for row in m)
+        template = ",".join(["%.17g"] * m.shape[1])
+        lines = "\n".join(template % tuple(row.tolist()) for row in m)
         _atomic_write(path, (lines + "\n").encode("ascii"))
     else:
         raise ValueError(f"unknown format {format!r}")
@@ -112,21 +117,17 @@ def _parse_csv(raw: bytes, path) -> np.ndarray:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: neither a binary matrix nor text") from exc
     rows = []
-    width = None
     for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        cells = [c.strip() for c in line.split(",")]
         try:
-            values = [float(c) for c in cells]
+            values = [float(c.strip()) for c in line.split(",")]
         except ValueError as exc:
             raise FormatError(f"{path}:{ln}: cell does not parse as a real") from exc
-        if any(not np.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise FormatError(f"{path}:{ln}: non-finite cell")
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise FormatError(f"{path}:{ln}: ragged row ({len(values)} != {width})")
+        if rows and len(values) != len(rows[0]):
+            raise FormatError(f"{path}:{ln}: ragged row ({len(values)} != {len(rows[0])})")
         rows.append(values)
     if not rows:
         raise FormatError(f"{path}: empty matrix")

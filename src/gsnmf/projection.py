@@ -24,7 +24,8 @@ thresholds and the residuals.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,16 +40,26 @@ class NnlsSolution:
     (V, M) block (I, M) and (M,); ``iterations`` sums over columns. ``capped``
     lists the columns that hit the iteration cap before the KKT conditions
     held (they return their last iterate); ``optimal`` is True if none did.
+    ``residual_norm`` is computed on first read, from the dictionary and target
+    arrays passed to ``nnls``: an in-place edit to them before then shows in it.
     """
 
     coefficients: np.ndarray
-    residual_norm: float | np.ndarray
     iterations: int
-    capped: tuple[int, ...] = ()
+    capped: tuple[int, ...]
+    _problem: tuple = field(repr=False, compare=False)  # A, targets, x, column blocks
 
     @property
     def optimal(self) -> bool:
         return not self.capped
+
+    @cached_property
+    def residual_norm(self) -> float | np.ndarray:
+        A, T, x, blocks = self._problem
+        residual = np.empty(len(x))
+        for block in blocks:
+            residual[block] = _norms(np.ascontiguousarray(T[:, block].T) - _matvec(A, x[block]))
+        return residual if self.coefficients.ndim == 2 else float(residual[0])
 
 
 # Largest ratio between the diagonal entries of a Gram block's Cholesky factor
@@ -178,7 +189,7 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
                       f"{tiny.tolist()}", stacklevel=2)
     scale = _KKT_EPS * max(V, I) * np.abs(A).sum(axis=0).max(initial=0.0)
 
-    Atb, threshold, residual = np.empty((M, I)), np.empty(M), np.empty(M)
+    Atb, threshold = np.empty((M, I)), np.empty(M)
     width = max(1, _BLOCK_ELEMENTS // max(1, V))
     blocks = [slice(start, start + width) for start in range(0, M, width)]
     for block in blocks:
@@ -192,11 +203,9 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
             raise ValueError(f"sample column {column}: dictionary or target {_TOO_LARGE}")
         threshold[block] = scale * np.abs(B).max(axis=1, initial=0.0)
     x, counts, optimal = _active_set(A, targets, G, Atb, usable, threshold, max_iter)
-    for block in blocks:
-        residual[block] = _norms(np.ascontiguousarray(targets[:, block].T) - _matvec(A, x[block]))
-    coefficients = np.ascontiguousarray(x.T)
-    solved = (coefficients, residual) if b.ndim == 2 else (coefficients[:, 0], float(residual[0]))
-    return NnlsSolution(*solved, int(counts.sum()), tuple(np.flatnonzero(~optimal).tolist()))
+    coefficients = np.ascontiguousarray(x.T) if b.ndim == 2 else x[0]
+    return NnlsSolution(coefficients, int(counts.sum()), tuple(np.flatnonzero(~optimal).tolist()),
+                        (A, targets, x, blocks))
 
 
 def project_matrix(dictionary, samples) -> np.ndarray:

@@ -258,6 +258,21 @@ def test_project_on_a_zero_scale_archive_exits_3(tmp_path):
     assert not (tmp_path / "V.csv").exists()
 
 
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+    from gsnmf import cli
+
+    hyper, groups, result = small_fit(tmp_path)
+    io.save_model(io.ModelArchive.from_fit(hyper, groups, result), tmp_path / "m.gsnm")
+    (tmp_path / "out").mkdir()
+    # The coefficients are written to out.tmp, which cannot replace a directory.
+    code = cli.main(["project", "--model", str(tmp_path / "m.gsnm"),
+                     "--data", str(tmp_path / "X.bin"), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["X.bin", "m.gsnm", "out"]
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_project_on_data_that_overflows_exits_3(tmp_path, capsys):
     from gsnmf import cli
 

@@ -38,6 +38,21 @@ def test_csv_matrix_round_trip_exact(tmp_path, rows, cols, seed):
     np.testing.assert_array_equal(io.load_matrix(path), m)
 
 
+def test_csv_bytes_are_17_significant_digits_per_value(tmp_path):
+    # Signed zero, the smallest subnormal and normal, the largest float,
+    # decimals without a short binary form and integers beyond 2**53.
+    edge = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3,
+            1e16, 1e17, 123456789012345678.0, -0.1, -5e-324, -1.7976931348623157e308]
+    rng = np.random.default_rng(4)
+    signed = rng.choice([-1.0, 1.0], size=(6, 9)) * np.exp(rng.uniform(-700.0, 700.0, (6, 9)))
+    path = tmp_path / "m.csv"
+    for m in (np.reshape(edge, (3, 4)), np.array([[-0.0]]), np.array([edge]), signed):
+        io.save_matrix(m, path, "csv")
+        expected = "\n".join(",".join(f"{v:.17g}" for v in row) for row in m) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
+        assert io.load_matrix(path).tobytes() == m.tobytes()
+
+
 def test_csv_parsing_and_errors(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("1,2\n3,4\n")
@@ -48,6 +63,10 @@ def test_csv_parsing_and_errors(tmp_path):
         io.load_matrix(p)
     p.write_text("1,nan\n")
     with pytest.raises(io.FormatError, match="non-finite"):
+        io.load_matrix(p)
+    # The first bad line is named, whichever check it fails.
+    p.write_text("1,2\n3,inf\n4\n")
+    with pytest.raises(io.FormatError, match=r"x\.csv:2: non-finite cell$"):
         io.load_matrix(p)
     p.write_text("1,abc\n")
     with pytest.raises(io.FormatError, match="parse"):

@@ -254,7 +254,9 @@ def test_nnls_runs_one_active_set_over_a_wide_target(monkeypatch):
     # With copies of 3 columns, 11 targets run one active set per call while
     # their (columns, V) copies (A^T b, thresholds, residuals) come 3 columns
     # at a time: each column is bitwise its own solve, the zero-column warning
-    # comes once per call, and a bad target is named by its column.
+    # comes once per call, and a bad target is named by its column. Residuals
+    # are computed on the first read of residual_norm, which project_matrix
+    # never makes.
     rng = np.random.default_rng(31)
     A = np.column_stack([rng.random((6, 3)), np.zeros(6)])
     S = np.asfortranarray(rng.random((6, 11)))
@@ -278,20 +280,39 @@ def test_nnls_runs_one_active_set_over_a_wide_target(monkeypatch):
         coeffs = project_matrix(A, S)
     assert [str(w.message) for w in caught] == ["dictionary has 1 all-zero column(s)"] * 2
     assert widths == [11, 11]
-    # Per call: the finiteness check, then the residuals, of each copy.
-    assert copies == [(3, 6), (3, 6), (3, 6), (2, 6)] * 4
+    # The finiteness checks of nnls, then of project_matrix; the residuals come
+    # with the first read of the norm, and only then.
+    assert copies == [(3, 6), (3, 6), (3, 6), (2, 6)] * 2
+    residual = block.residual_norm
+    assert copies == [(3, 6), (3, 6), (3, 6), (2, 6)] * 3
+    assert block.residual_norm is residual
+    assert copies == [(3, 6), (3, 6), (3, 6), (2, 6)] * 3
     assert block.optimal and coeffs.flags.c_contiguous
     assert coeffs.tobytes() == block.coefficients.tobytes()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         singles = [nnls(A, S[:, m]) for m in range(S.shape[1])]
-        S[1, 7] = np.nan
+        bad = S.copy()
+        bad[1, 7] = np.nan
         with pytest.raises(ValueError, match="^sample column 7: .*float64"):
-            nnls(A, S)
+            nnls(A, bad)
     expected = np.column_stack([single.coefficients for single in singles])
     assert block.coefficients.tobytes() == expected.tobytes()
     assert block.residual_norm.tolist() == [s.residual_norm for s in singles]
     assert block.iterations == sum(s.iterations for s in singles)
+
+
+def test_residual_norm_reads_the_arrays_passed_to_nnls_when_first_read():
+    rng = np.random.default_rng(8)
+    A = rng.random((6, 3))
+    for S in (rng.random(6), rng.random((6, 4)), np.asfortranarray(rng.random((6, 4)))):
+        sol = nnls(A, S)
+        S[2] += 5.0
+        first = sol.residual_norm
+        np.testing.assert_allclose(first, np.linalg.norm(S - A @ sol.coefficients, axis=0),
+                                   rtol=1e-13)
+        S[2] -= 5.0
+        assert sol.residual_norm is first
 
 
 def test_a_fallback_solves_its_own_column_when_others_have_finished(monkeypatch):
