@@ -10,6 +10,7 @@ go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -283,15 +284,16 @@ def _cmd_evaluate(args) -> str:
     )
 
 
-_GRID_KEYS = {"per_group", "a_small", "a_large", "b_lambda", "a_t", "b_t", "single_group"}
+# A grid entry sets PriorSettings fields; each takes the type of its default.
+_GRID_TYPES = {f.name: type(f.default) for f in dataclasses.fields(PriorSettings)}
 
 
 def _check_grid_value(key: str, value):
     """Raise DataError unless a grid value has the JSON type its key needs."""
     number = not isinstance(value, bool) and isinstance(value, (int, float))
-    if key == "single_group":
+    if _GRID_TYPES[key] is bool:
         ok, kind = isinstance(value, bool), "true or false"
-    elif key == "per_group":
+    elif _GRID_TYPES[key] is int:
         ok, kind = number and isinstance(value, int), "an integer"
     else:
         ok, kind = number and abs(value) <= sys.float_info.max, "a finite number"
@@ -308,8 +310,8 @@ def _cmd_sweep(args) -> str:
         raise DataError("grid must be a nonempty JSON list of setting objects")
     grid = []
     for entry in raw:
-        if not isinstance(entry, dict) or not set(entry) <= _GRID_KEYS:
-            raise DataError(f"bad grid entry {entry!r}; allowed keys: {sorted(_GRID_KEYS)}")
+        if not isinstance(entry, dict) or not entry.keys() <= _GRID_TYPES.keys():
+            raise DataError(f"bad grid entry {entry!r}; allowed keys: {sorted(_GRID_TYPES)}")
         for key, value in entry.items():
             _check_grid_value(key, value)
         grid.append(PriorSettings(**entry))
@@ -347,9 +349,11 @@ _COMMANDS = {
 
 
 def _check_output_dirs(args):
-    """Raise DataError for an output path whose directory does not exist."""
+    """Raise DataError for an output path that is a directory or is in none."""
     for flag in ("out", "bound_trace", "report"):
         path = getattr(args, flag, None)
+        if path is not None and Path(path).is_dir():
+            raise DataError(f"cannot write {path}: it is a directory")
         if path is not None and not Path(path).parent.is_dir():
             raise DataError(f"cannot write {path}: no directory {Path(path).parent}")
 

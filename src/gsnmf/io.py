@@ -236,17 +236,13 @@ def load_model(path) -> ModelArchive:
     )
 
 
-def save_pgm(image, path, maxval: int = 255):
-    """Write an integer-valued matrix as a binary (P5) PGM."""
+def save_pgm(image, path):
+    """Write an integer-valued matrix as an 8-bit binary (P5) PGM, maxval 255."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise ValueError("image must be 2-D")
-    if not (0 < maxval <= 65535):
-        raise ValueError("maxval out of range")
-    clipped = np.clip(np.rint(img), 0, maxval)
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii")
-    payload = clipped.astype(">u2" if maxval > 255 else "u1").tobytes()
-    _atomic_write(path, header + payload)
+    payload = np.clip(np.rint(img), 0, 255).astype("u1").tobytes()
+    _atomic_write(path, f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii") + payload)
 
 
 def export_heatmap(matrix, path, style: str = "magnitude", cell_px: int = 8):

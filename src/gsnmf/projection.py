@@ -17,15 +17,14 @@ the same BLAS or LAPACK call per item as on one column; with products taken as
 stacks of matrix-vector products and free sets grouped by exact size (never
 padded), each column is bitwise its own solve. ``nnls`` forms ``A^T A`` once
 per call and runs the active set over all its columns at once;
-``_BLOCK_ELEMENTS`` bounds only the (columns, V) copies for ``A^T b``, the
-thresholds and the residuals.
+``_BLOCK_ELEMENTS`` bounds only the (columns, V) copies for ``A^T b`` and the
+thresholds.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,30 +35,20 @@ __all__ = ["NnlsSolution", "nnls", "project_matrix"]
 class NnlsSolution:
     """Outcome of one nonnegative least-squares solve of a target or a block.
 
-    A (V,) target gives (I,) ``coefficients`` and a float ``residual_norm``, a
-    (V, M) block (I, M) and (M,); ``iterations`` sums over columns. ``capped``
-    lists the columns that hit the iteration cap before the KKT conditions
-    held (they return their last iterate); ``optimal`` is True if none did.
-    ``residual_norm`` is computed on first read, from the dictionary and target
-    arrays passed to ``nnls``: an in-place edit to them before then shows in it.
+    A (V,) target gives (I,) ``coefficients``, a (V, M) block (I, M);
+    ``iterations`` sums over columns. ``capped`` lists the columns that hit the
+    iteration cap before the KKT conditions held (they return their last
+    iterate); ``optimal`` is True if none did. The solution holds no reference
+    to the arrays passed to ``nnls``.
     """
 
     coefficients: np.ndarray
     iterations: int
     capped: tuple[int, ...]
-    _problem: tuple = field(repr=False, compare=False)  # A, targets, x, column blocks
 
     @property
     def optimal(self) -> bool:
         return not self.capped
-
-    @cached_property
-    def residual_norm(self) -> float | np.ndarray:
-        A, T, x, blocks = self._problem
-        residual = np.empty(len(x))
-        for block in blocks:
-            residual[block] = _norms(np.ascontiguousarray(T[:, block].T) - _matvec(A, x[block]))
-        return residual if self.coefficients.ndim == 2 else float(residual[0])
 
 
 # Largest ratio between the diagonal entries of a Gram block's Cholesky factor
@@ -67,7 +56,7 @@ class NnlsSolution:
 # roughly the square of this ratio.
 _MAX_CHOLESKY_RATIO = 1e4
 
-# Target entries (V x columns) per (columns, V) copy for A^T b, thresholds and residuals.
+# Target entries (V x columns) per (columns, V) copy for A^T b and thresholds.
 _BLOCK_ELEMENTS = 2**15
 
 _KKT_EPS = 10.0 * np.finfo(float).eps  # KKT rounding level per unit of scale (module docstring)
@@ -191,8 +180,8 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
 
     Atb, threshold = np.empty((M, I)), np.empty(M)
     width = max(1, _BLOCK_ELEMENTS // max(1, V))
-    blocks = [slice(start, start + width) for start in range(0, M, width)]
-    for block in blocks:
+    for start in range(0, M, width):
+        block = slice(start, start + width)
         # One contiguous row per target column: BLAS rounds ``A^T b`` differently
         # for strided and contiguous b, and results must not depend on the caller's layout.
         B = np.ascontiguousarray(targets[:, block].T)
@@ -204,8 +193,7 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
         threshold[block] = scale * np.abs(B).max(axis=1, initial=0.0)
     x, counts, optimal = _active_set(A, targets, G, Atb, usable, threshold, max_iter)
     coefficients = np.ascontiguousarray(x.T) if b.ndim == 2 else x[0]
-    return NnlsSolution(coefficients, int(counts.sum()), tuple(np.flatnonzero(~optimal).tolist()),
-                        (A, targets, x, blocks))
+    return NnlsSolution(coefficients, int(counts.sum()), tuple(np.flatnonzero(~optimal).tolist()))
 
 
 def project_matrix(dictionary, samples) -> np.ndarray:

@@ -258,19 +258,22 @@ def test_project_on_a_zero_scale_archive_exits_3(tmp_path):
     assert not (tmp_path / "V.csv").exists()
 
 
-def test_a_failed_write_leaves_no_temporary_file(tmp_path, capsys):
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
     from gsnmf import cli
 
     hyper, groups, result = small_fit(tmp_path)
     io.save_model(io.ModelArchive.from_fit(hyper, groups, result), tmp_path / "m.gsnm")
-    (tmp_path / "out").mkdir()
-    # The coefficients are written to out.tmp, which cannot replace a directory.
+
+    def fail(src, dst):
+        raise IsADirectoryError(21, "Is a directory", str(src), None, str(dst))
+
+    # The coefficients are written to out.tmp, which then fails to replace out.
+    monkeypatch.setattr(io.os, "replace", fail)
     code = cli.main(["project", "--model", str(tmp_path / "m.gsnm"),
                      "--data", str(tmp_path / "X.bin"), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "Is a directory" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["X.bin", "m.gsnm", "out"]
-    assert not any((tmp_path / "out").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["X.bin", "m.gsnm"]
 
 
 def test_project_on_data_that_overflows_exits_3(tmp_path, capsys):
@@ -397,6 +400,33 @@ def test_an_output_in_a_missing_directory_exits_3_before_any_work(
     assert f"gsnmf {command[0]}: cannot write {missing}: no directory" in err
     assert ".tmp" not in err
     assert not (tmp_path / "truth").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--out", "outdir"],
+    ["train", "--out", "m.gsnm", "--bound-trace", "outdir"],
+    ["evaluate", "--report", "outdir"],
+], ids=lambda command: command[0] + ("-trace" if "--bound-trace" in command else ""))
+def test_an_output_that_is_a_directory_exits_3_before_any_fit(
+    tmp_path, monkeypatch, capsys, command
+):
+    from gsnmf import cli, engine, pipeline
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit started before the output paths were checked")
+
+    monkeypatch.setattr(engine, "multi_restart_fit", no_fit)
+    monkeypatch.setattr(pipeline, "evaluate", no_fit)
+    monkeypatch.chdir(tmp_path)
+    io.save_matrix(np.ones((4, 6)), "X.bin", "binary")
+    io.save_matrix(np.array([[0.0, 1.0, 0.0, 1.0, 0.0, 1.0]]), "y.bin", "binary")
+    (tmp_path / "outdir").mkdir()
+    inputs = ["--data", "X.bin", "--labels", "y.bin"]
+    inputs += ["--dict-size", "2"] if command[0] == "train" else ["--per-group", "1"]
+    assert cli.main(command[:1] + inputs + command[1:]) == 3
+    err = capsys.readouterr().err
+    assert err == f"gsnmf {command[0]}: cannot write outdir: it is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["X.bin", "outdir", "y.bin"]
 
 
 def test_numerical_failure_exits_4(monkeypatch, capsys):

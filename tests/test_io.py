@@ -182,14 +182,11 @@ def test_matrix_loader_rejects_archives(tmp_path):
         io.load_model(tmp_path / "plain.bin")
 
 
-def test_pgm_round_trip_8_and_16_bit(tmp_path):
+def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     img8 = rng.integers(0, 256, size=(9, 5)).astype(float)
     io.save_pgm(img8, tmp_path / "a.pgm")
     np.testing.assert_array_equal(load_pgm(tmp_path / "a.pgm"), img8)
-    img16 = rng.integers(0, 60001, size=(4, 6)).astype(float)
-    io.save_pgm(img16, tmp_path / "b.pgm", maxval=65535)
-    np.testing.assert_array_equal(load_pgm(tmp_path / "b.pgm"), img16)
 
 
 def test_pgm_ascii_with_comments(tmp_path):

@@ -1,6 +1,8 @@
 import functools
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -24,24 +26,32 @@ def kkt_violation(A, b, x, active_tol=0.0):
     return worst
 
 
+def residual_norm(A, b, sol):
+    """||b - A x|| of an ``nnls`` solution x, per column for a (V, M) block."""
+    return np.linalg.norm(b - A @ sol.coefficients, axis=0)
+
+
 def test_identity_dictionary_is_exact():
-    sol = nnls(np.eye(3), np.array([3.0, 0.0, 7.0]))
+    A, b = np.eye(3), np.array([3.0, 0.0, 7.0])
+    sol = nnls(A, b)
     np.testing.assert_allclose(sol.coefficients, [3.0, 0.0, 7.0])
-    assert sol.residual_norm == pytest.approx(0.0, abs=1e-12)
+    assert residual_norm(A, b, sol) == pytest.approx(0.0, abs=1e-12)
     assert sol.optimal
 
 
 def test_single_column_projects_onto_ray():
-    sol = nnls(np.array([[1.0], [1.0]]), np.array([1.0, 0.0]))
+    A, b = np.array([[1.0], [1.0]]), np.array([1.0, 0.0])
+    sol = nnls(A, b)
     assert sol.coefficients[0] == pytest.approx(0.5, abs=1e-12)
-    assert sol.residual_norm == pytest.approx(np.sqrt(0.5), abs=1e-12)
+    assert residual_norm(A, b, sol) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
 
 def test_negative_correlation_clamps_to_zero():
     # unconstrained optimum is negative, so the constrained one is 0
-    sol = nnls(np.array([[1.0], [0.0]]), np.array([-2.0, 1.0]))
+    A, b = np.array([[1.0], [0.0]]), np.array([-2.0, 1.0])
+    sol = nnls(A, b)
     assert sol.coefficients[0] == 0.0
-    assert sol.residual_norm == pytest.approx(np.sqrt(5.0))
+    assert residual_norm(A, b, sol) == pytest.approx(np.sqrt(5.0))
 
 
 def test_kkt_optimality_on_random_instances():
@@ -71,7 +81,7 @@ def test_residual_never_exceeds_target_norm():
         A = rng.random((5, 3))
         b = rng.random(5)
         sol = nnls(A, b)
-        assert sol.residual_norm <= np.linalg.norm(b) + 1e-12
+        assert residual_norm(A, b, sol) <= np.linalg.norm(b) + 1e-12
 
 
 def test_zero_columns_are_dropped_with_warning():
@@ -100,7 +110,7 @@ def test_iteration_cap_returns_flagged_best_iterate():
     sol = nnls(A, b, max_iter=1)
     assert sol.iterations <= 1
     if not sol.optimal:
-        assert np.isfinite(sol.residual_norm)
+        assert np.isfinite(residual_norm(A, b, sol))
     assert (sol.coefficients >= 0.0).all()
 
 
@@ -119,7 +129,7 @@ def test_residual_non_increasing_in_iteration_budget():
         ))
     for A, b in instances:
         slack = 1e-12 * np.linalg.norm(b)
-        residuals = [nnls(A, b, max_iter=k).residual_norm for k in range(1, A.shape[1] + 2)]
+        residuals = [residual_norm(A, b, nnls(A, b, max_iter=k)) for k in range(1, A.shape[1] + 2)]
         assert max(residuals) <= np.linalg.norm(b) + slack
         assert all(r2 <= r1 + slack for r1, r2 in zip(residuals, residuals[1:]))
 
@@ -136,7 +146,7 @@ def test_nearly_parallel_columns_reach_an_in_cone_target():
     b = 2.0 * np.ones(4) + 1e-5 * np.eye(4)[0]
     sol = nnls(A, b)
     assert sol.optimal
-    assert sol.residual_norm <= 1e-12 * np.linalg.norm(b)
+    assert residual_norm(A, b, sol) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_rejects_targets_that_overflow():
@@ -170,7 +180,7 @@ def test_ill_conditioned_support_falls_back_to_lstsq(monkeypatch):
     assert (5, 2) in solved
     np.testing.assert_allclose(sol.coefficients, [1.0, 1.0, 0.0], atol=1e-10)
     reference = scipy.optimize.nnls(A, b)[1]
-    assert abs(sol.residual_norm - reference) <= 1e-8 * np.linalg.norm(b)
+    assert abs(residual_norm(A, b, sol) - reference) <= 1e-8 * np.linalg.norm(b)
 
 
 STEP_BACK_INSTANCES = [
@@ -190,7 +200,7 @@ def test_step_back_leaves_the_blocking_coefficient_at_zero(A, b):
     sol = nnls(A, b)
     reference, residual = scipy.optimize.nnls(A, b)
     np.testing.assert_allclose(sol.coefficients, reference, atol=1e-12)
-    assert sol.residual_norm == pytest.approx(residual, rel=1e-12)
+    assert residual_norm(A, b, sol) == pytest.approx(residual, rel=1e-12)
 
 
 def test_support_matches_scipy_on_well_conditioned_instances():
@@ -252,11 +262,9 @@ def test_an_overflowing_dictionary_is_named_without_a_column():
 
 def test_nnls_runs_one_active_set_over_a_wide_target(monkeypatch):
     # With copies of 3 columns, 11 targets run one active set per call while
-    # their (columns, V) copies (A^T b, thresholds, residuals) come 3 columns
-    # at a time: each column is bitwise its own solve, the zero-column warning
-    # comes once per call, and a bad target is named by its column. Residuals
-    # are computed on the first read of residual_norm, which project_matrix
-    # never makes.
+    # their (columns, V) copies (A^T b, thresholds) come 3 columns at a time:
+    # each column is bitwise its own solve, the zero-column warning comes once
+    # per call, and a bad target is named by its column.
     rng = np.random.default_rng(31)
     A = np.column_stack([rng.random((6, 3)), np.zeros(6)])
     S = np.asfortranarray(rng.random((6, 11)))
@@ -280,13 +288,8 @@ def test_nnls_runs_one_active_set_over_a_wide_target(monkeypatch):
         coeffs = project_matrix(A, S)
     assert [str(w.message) for w in caught] == ["dictionary has 1 all-zero column(s)"] * 2
     assert widths == [11, 11]
-    # The finiteness checks of nnls, then of project_matrix; the residuals come
-    # with the first read of the norm, and only then.
+    # The finiteness checks of nnls, then of project_matrix.
     assert copies == [(3, 6), (3, 6), (3, 6), (2, 6)] * 2
-    residual = block.residual_norm
-    assert copies == [(3, 6), (3, 6), (3, 6), (2, 6)] * 3
-    assert block.residual_norm is residual
-    assert copies == [(3, 6), (3, 6), (3, 6), (2, 6)] * 3
     assert block.optimal and coeffs.flags.c_contiguous
     assert coeffs.tobytes() == block.coefficients.tobytes()
     with warnings.catch_warnings():
@@ -298,21 +301,19 @@ def test_nnls_runs_one_active_set_over_a_wide_target(monkeypatch):
             nnls(A, bad)
     expected = np.column_stack([single.coefficients for single in singles])
     assert block.coefficients.tobytes() == expected.tobytes()
-    assert block.residual_norm.tolist() == [s.residual_norm for s in singles]
     assert block.iterations == sum(s.iterations for s in singles)
 
 
-def test_residual_norm_reads_the_arrays_passed_to_nnls_when_first_read():
+def test_a_solution_keeps_no_reference_to_the_arrays_passed_to_nnls():
     rng = np.random.default_rng(8)
-    A = rng.random((6, 3))
-    for S in (rng.random(6), rng.random((6, 4)), np.asfortranarray(rng.random((6, 4)))):
+    for order, shape in [("C", (6,)), ("C", (6, 4)), ("F", (6, 4))]:
+        A, S = rng.random((6, 3)), np.asarray(rng.random(shape), order=order)
+        refs = [weakref.ref(A), weakref.ref(S)]
         sol = nnls(A, S)
-        S[2] += 5.0
-        first = sol.residual_norm
-        np.testing.assert_allclose(first, np.linalg.norm(S - A @ sol.coefficients, axis=0),
-                                   rtol=1e-13)
-        S[2] -= 5.0
-        assert sol.residual_norm is first
+        del A, S
+        gc.collect()
+        assert [ref() is None for ref in refs] == [True, True]
+        assert sol.optimal and (sol.coefficients >= 0.0).all()
 
 
 def test_a_fallback_solves_its_own_column_when_others_have_finished(monkeypatch):
@@ -345,7 +346,6 @@ def test_a_fallback_solves_its_own_column_when_others_have_finished(monkeypatch)
         assert block.iterations == sum(iterations)
         expected = np.column_stack([single.coefficients for single in singles])
         assert block.coefficients.tobytes() == expected.tobytes()
-        assert block.residual_norm.tolist() == [s.residual_norm for s in singles]
 
 
 def test_nnls_holds_less_than_its_target_in_temporaries():
@@ -493,10 +493,10 @@ def test_gram_form_loses_no_accuracy_on_ill_conditioned_dictionaries(
     )
     reference = scipy.optimize.nnls(A, b)[1]
     scale = max(reference, np.linalg.norm(b))
-    gram = nnls(A, b).residual_norm
+    gram = residual_norm(A, b, nnls(A, b))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(projection, "_MAX_CHOLESKY_RATIO", 0.0)
-        least_squares = nnls(A, b).residual_norm
+        least_squares = residual_norm(A, b, nnls(A, b))
     assert abs(gram - reference) <= abs(least_squares - reference) + 1e-8 * scale
 
 
@@ -535,7 +535,7 @@ def test_block_columns_are_bitwise_their_own_solves(
 ):
     # A block of targets, solved in lockstep by nnls or in blocks of `width`
     # columns by project_matrix, gives every column the coefficients,
-    # residual, iterations and cap hit of its own solve, which are those of
+    # iterations and cap hit of its own solve, which are those of
     # the one-target loop (column_loop_nnls). The dictionaries mix
     # all-zero columns, a nearly parallel pair whose Gram block takes the
     # lstsq fallback and the step-back instances above; max_iter=1 caps.
@@ -564,13 +564,12 @@ def test_block_columns_are_bitwise_their_own_solves(
         singles = [nnls(A, S[:, m], max_iter=max_iter) for m in range(S.shape[1])]
         block = nnls(A, S, max_iter=max_iter)
     for m, single in enumerate(singles):
-        coefficients, *rest = column_loop_nnls(A, S[:, m], max_iter=max_iter)
+        coefficients, _, *rest = column_loop_nnls(A, S[:, m], max_iter=max_iter)
         assert single.coefficients.tobytes() == coefficients.tobytes()
-        assert [single.residual_norm, single.iterations, single.optimal] == rest
+        assert [single.iterations, single.optimal] == rest
     expected = np.column_stack([single.coefficients for single in singles])
     capped = [m for m, single in enumerate(singles) if not single.optimal]
     assert block.coefficients.tobytes() == expected.tobytes()
-    assert block.residual_norm.tobytes() == np.array([s.residual_norm for s in singles]).tobytes()
     assert block.iterations == sum(single.iterations for single in singles)
     assert block.capped == tuple(capped)
     assert block.optimal == (not capped)
