@@ -113,7 +113,7 @@ def load_matrix(path) -> np.ndarray:
 
 def _parse_csv(raw: bytes, path) -> np.ndarray:
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")  # spreadsheets often start a CSV with a BOM
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: neither a binary matrix nor text") from exc
     rows = []

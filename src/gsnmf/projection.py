@@ -9,16 +9,25 @@ exceeds its rounding level, ``_KKT_EPS``·max(V, I)·max_j ||A[:, j]||_1·||b||_
 raises, or its diagonal spans more than ``_MAX_CHOLESKY_RATIO``, a condition
 number of about 1e8) is solved by least squares on ``A[:, F]`` instead.
 
+Each ``nnls`` call first tests, once, whether any block can fail that check.
+Every principal block of ``G_u``, the Gram matrix of the usable columns, has
+its eigenvalues between the extreme eigenvalues of ``G_u`` (Cauchy interlacing),
+and so have the squares of its Cholesky diagonal. So the diagonal ratio of any
+block is at most sqrt(cond(G_u)) <= sqrt(trace(G_u)·||G_u^-1||_F). When that
+bound is at most half of ``_MAX_CHOLESKY_RATIO`` (the half absorbs rounding),
+no block can fail, and the per-block check is skipped: every block is solved
+directly, as the check would have let it be.
+
 A (V, M) block of targets runs in lockstep (Van Benthem and Keenan, J.
 Chemometrics 18, 2004): each outer iteration frees a coordinate in every column
-still iterating and solves the free sets of each size with one stacked Cholesky
-check and one stacked solve. numpy's stacked matmul, Cholesky and solve make
-the same BLAS or LAPACK call per item as on one column; with products taken as
-stacks of matrix-vector products and free sets grouped by exact size (never
-padded), each column is bitwise its own solve. ``nnls`` forms ``A^T A`` once
-per call and runs the active set over all its columns at once;
-``_BLOCK_ELEMENTS`` bounds only the (columns, V) copies for ``A^T b`` and the
-thresholds.
+still iterating and solves the free sets of each size with one stacked
+Cholesky check, unless it is skipped, and one stacked solve. numpy's stacked
+matmul, Cholesky and solve make the same BLAS or LAPACK call per item as on one
+column; with products taken as stacks of matrix-vector products and free sets
+grouped by exact size (never padded), each column is bitwise its own solve.
+``nnls`` forms ``A^T A`` once per call and runs the active set over all its
+columns at once; ``_BLOCK_ELEMENTS`` bounds only the (columns, V) copies for
+``A^T b`` and the thresholds.
 """
 
 from __future__ import annotations
@@ -83,7 +92,18 @@ def _well_conditioned(blocks):
     return diagonals.max(axis=1) <= _MAX_CHOLESKY_RATIO * diagonals.min(axis=1)
 
 
-def _solve_free_sets(G, Atb, A, targets, columns, free):
+def _no_block_can_fail(gram):
+    """True if sqrt(trace(gram)·||gram^-1||_F) <= ``_MAX_CHOLESKY_RATIO`` / 2 (module docstring)."""
+    try:
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the test, silently
+        bound = np.trace(gram) * np.linalg.norm(inverse)
+    return bool(bound <= (_MAX_CHOLESKY_RATIO / 2) ** 2)
+
+
+def _solve_free_sets(G, Atb, A, targets, columns, free, check_blocks):
     """Row r solves row r's free set, for target column ``columns[r]``, and is 0 off it."""
     z = np.zeros(free.shape)
     sizes = free.sum(axis=1)
@@ -91,12 +111,15 @@ def _solve_free_sets(G, Atb, A, targets, columns, free):
         rows = np.flatnonzero(sizes == size)
         F = np.nonzero(free[rows])[1].reshape(rows.size, size)
         blocks = G[F[:, :, None], F[:, None, :]]
-        direct = _well_conditioned(blocks)
+        direct = slice(None)  # views, not boolean-mask copies
+        if check_blocks:
+            direct = _well_conditioned(blocks)
+            for r, support in zip(rows[~direct], F[~direct]):
+                b = targets[:, columns[r]]
+                z[r, support] = np.linalg.lstsq(A[:, support], b, rcond=None)[0]
         solved = rows[direct, None]
         rhs = Atb[solved, F[direct]][:, :, None]
         z[solved, F[direct]] = np.linalg.solve(blocks[direct], rhs)[:, :, 0]
-        for r, support in zip(rows[~direct], F[~direct]):
-            z[r, support] = np.linalg.lstsq(A[:, support], targets[:, columns[r]], rcond=None)[0]
     return z
 
 
@@ -113,6 +136,7 @@ def _active_set(A, targets, G, Atb, usable, threshold, max_iter):
     iterations = np.zeros(M, dtype=int)
     optimal = np.zeros(M, dtype=bool)
     live = np.arange(M)
+    check_blocks = not _no_block_can_fail(G[usable][:, usable])
     while True:
         gains = np.where(usable & ~free[live], w[live], -np.inf)
         done = gains.max(axis=1, initial=-np.inf) <= threshold[live]
@@ -124,7 +148,7 @@ def _active_set(A, targets, G, Atb, usable, threshold, max_iter):
         iterations[live] += 1
         fs, xs, Atbs = free[live], x[live], Atb[live]
         fs[np.arange(live.size), np.argmax(gains[going], axis=1)] = True
-        z = _solve_free_sets(G, Atbs, A, targets, live, fs)
+        z = _solve_free_sets(G, Atbs, A, targets, live, fs, check_blocks)
         # Step back: each pass zeroes a free coordinate, so at most |free|
         # passes. The blocking one is zeroed outright: rounding can leave it a
         # hair above zero, and the same free set would be solved forever.
@@ -141,7 +165,7 @@ def _active_set(A, targets, G, Atb, usable, threshold, max_iter):
             fr &= xr > 0.0
             xr[~fr] = 0.0
             xs[back], fs[back] = xr, fr
-            z[back] = zr = _solve_free_sets(G, Atbs[back], A, targets, live[back], fr)
+            z[back] = zr = _solve_free_sets(G, Atbs[back], A, targets, live[back], fr, check_blocks)
             back = back[(fr & (zr <= 0.0)).any(axis=1)]
         x[live], free[live] = z, fs
         w[live] = Atbs - _matvec(G, z)

@@ -113,9 +113,11 @@ def column_loop_nnls(A: np.ndarray, b: np.ndarray, max_iter=None):
     The arithmetic of ``gsnmf.projection.nnls`` on a single target, one
     numpy call per step, so a lockstep block solve can be checked against it
     bit for bit, including its KKT threshold, multiplied in the same order:
-    10·eps·max(V, I)·max_j ||A[:, j]||_1·||b||_inf. Returns (coefficients,
-    residual norm, iterations, optimal). The target is copied to contiguous
-    memory first, as ``nnls`` copies its targets.
+    10·eps·max(V, I)·max_j ||A[:, j]||_1·||b||_inf. It always runs the
+    per-block Cholesky check, so it is the reference for the solves that
+    ``nnls`` makes without it once its Gram matrix proves that no block can
+    fail. Returns (coefficients, residual norm, iterations, optimal). The
+    target is copied to contiguous memory first, as ``nnls`` copies its targets.
     """
     b = np.ascontiguousarray(b)
     n = A.shape[1]

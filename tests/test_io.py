@@ -76,6 +76,16 @@ def test_csv_parsing_and_errors(tmp_path):
         io.load_matrix(p)
 
 
+def test_csv_with_a_byte_order_mark_loads_as_without_it(tmp_path):
+    # Spreadsheet exports often start a UTF-8 CSV with the mark EF BB BF.
+    text = "1.5,-2\n3,4e-3\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(text.encode("utf-8-sig"))
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert io.load_matrix(marked).tobytes() == io.load_matrix(plain).tobytes()
+
+
 def test_binary_matrix_header_checks(tmp_path):
     p = tmp_path / "m.bin"
     io.save_matrix(np.ones((2, 2)), p, "binary")

@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import tracemalloc
 import warnings
 import weakref
@@ -159,6 +160,19 @@ def test_rejects_targets_that_overflow():
             project_matrix(A, np.column_stack([np.ones(3), np.full(3, 1e308)]))
 
 
+def spy_on_the_block_check(monkeypatch):
+    """Record the block stacks that ``nnls`` passes to its per-free-set check."""
+    checks = []
+    check = projection._well_conditioned
+
+    def spy(blocks):
+        checks.append(blocks.shape)
+        return check(blocks)
+
+    monkeypatch.setattr(projection, "_well_conditioned", spy)
+    return checks
+
+
 def test_ill_conditioned_support_falls_back_to_lstsq(monkeypatch):
     # The support {a, a + 1e-4 e} has a Gram block with condition number
     # about 2e9, past the Cholesky check, so it is solved on A[:, F].
@@ -176,8 +190,9 @@ def test_ill_conditioned_support_falls_back_to_lstsq(monkeypatch):
         return lstsq(matrix, rhs, rcond=rcond)
 
     monkeypatch.setattr(np.linalg, "lstsq", spy)
+    checks = spy_on_the_block_check(monkeypatch)
     sol = nnls(A, b)
-    assert (5, 2) in solved
+    assert checks and (5, 2) in solved
     np.testing.assert_allclose(sol.coefficients, [1.0, 1.0, 0.0], atol=1e-10)
     reference = scipy.optimize.nnls(A, b)[1]
     assert abs(residual_norm(A, b, sol) - reference) <= 1e-8 * np.linalg.norm(b)
@@ -372,10 +387,100 @@ def test_project_matrix_is_bitwise_the_column_loop_at_image_size(monkeypatch):
     A = rng.gamma(0.5, 1.0, size=(300, 40))
     S = rng.poisson(A @ (rng.gamma(1.0, 2.0, size=(40, 40)) * (rng.random((40, 40)) < 0.3)))
     S = S.astype(float)
+    # The column loop checks every block; nnls proves once that none can fail
+    # (trace(G)·||G^-1||_F is about 510 here, against a limit of 2.5e7) and
+    # checks none.
     monkeypatch.setattr(projection, "_BLOCK_ELEMENTS", 300 * 16)
+    checks = spy_on_the_block_check(monkeypatch)
     coeffs = project_matrix(A, S)
     expected = np.column_stack([column_loop_nnls(A, S[:, m])[0] for m in range(S.shape[1])])
     assert coeffs.tobytes() == expected.tobytes()
+    assert checks == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    fill=st.just(1.0) | st.floats(min_value=0.7, max_value=1.0),
+    rescaled=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(n=6, fill=1.0, rescaled=True, seed=0)
+def test_no_block_of_a_gram_matrix_that_passes_the_once_per_call_test_fails_the_check(
+    n, fill, rescaled, seed
+):
+    # G = D Q diag(t**e) Q^T D: eigenvalues t**e with e in [0, 1] between 1
+    # and t, columns rescaled by D. t is bisected so that trace(G)·||G^-1||_F
+    # reaches limit**fill, at fill = 1 just under the limit itself, where only
+    # the factor of two in the limit is left for rounding. Every principal
+    # block, in every index order, must then pass the per-block check.
+    limit = (projection._MAX_CHOLESKY_RATIO / 2) ** 2
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    exponents = np.concatenate([[0.0, 1.0], rng.random(n)])[:n]
+    D = 10.0 ** rng.uniform(-1.0, 1.0, n) if rescaled else np.ones(n)
+
+    def gram(log_t):
+        G = D[:, None] * ((Q * 10.0 ** (log_t * exponents)) @ Q.T) * D
+        return (G + G.T) / 2.0
+
+    def bound(G):
+        try:
+            return float(np.trace(G)) * float(np.linalg.norm(np.linalg.inv(G)))
+        except np.linalg.LinAlgError:
+            return np.inf
+
+    low, high = -40.0, 0.0
+    for _ in range(60):
+        middle = (low + high) / 2.0
+        low, high = (low, middle) if bound(gram(middle)) <= limit**fill else (middle, high)
+    G = gram(high)
+    assert projection._no_block_can_fail(G) == (bound(G) <= limit)
+    if not projection._no_block_can_fail(G):
+        return  # limit**fill lies below the bound at t = 1
+    for size in range(1, n + 1):
+        F = np.array(list(itertools.permutations(range(n), size)))
+        assert projection._well_conditioned(G[F[:, :, None], F[:, None, :]]).all()
+
+
+@pytest.mark.parametrize(
+    "A, S, warned, checked",
+    [
+        (np.zeros((3, 0)), np.ones((3, 2)), [], False),
+        (np.eye(3), np.zeros((3, 0)), [], False),
+        (np.zeros((3, 2)), np.ones((3, 2)), ["dictionary has 2 all-zero column(s)"], False),
+        ([[2.0, 0.0], [1.0, 0.0]], [[1.0, -1.0], [3.0, 0.5]],
+         ["dictionary has 1 all-zero column(s)"], False),
+        ([[1e-170, 1.0], [0.0, 1.0], [0.0, 0.5]], [[1e-170, 1.0], [0.0, 2.0], [0.0, 0.5]],
+         ["dictionary has 1 column(s) too small to use in float64: [0]"], False),
+        ([[1e154, 0.0], [0.0, 1e154]], [[1.0], [2.0]], [], True),
+        ([[1e-160, 1.0], [0.0, 1.0]], [[1e-160], [0.5]], [], True),
+    ],
+    ids=["no-dictionary-columns", "no-targets", "all-zero", "one-usable-column", "underflow",
+         "trace-overflows", "inverse-overflows"],
+)
+def test_edge_shapes_pass_the_once_per_call_test(monkeypatch, A, S, warned, checked):
+    # An empty or 1x1 Gram matrix of usable columns neither raises nor needs a
+    # per-block check. One whose trace or inverse overflows keeps the check,
+    # with no numpy warning. The solution is the column loop's.
+    A, S = np.array(A, dtype=float), np.array(S, dtype=float)
+    checks = spy_on_the_block_check(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = nnls(A, S)
+    assert [str(w.message) for w in caught] == warned
+    assert bool(checks) == checked
+    expected = np.zeros((A.shape[1], S.shape[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        loops = [column_loop_nnls(A, S[:, m]) for m in range(S.shape[1])]
+    for m, (coefficients, _, _, optimal) in enumerate(loops):
+        expected[:, m] = coefficients
+        assert optimal
+    assert sol.coefficients.shape == expected.shape
+    assert sol.coefficients.tobytes() == expected.tobytes()
+    assert sol.iterations == sum(loop[2] for loop in loops)
+    assert sol.capped == ()
 
 
 def test_results_do_not_depend_on_the_targets_memory_layout():
