@@ -30,6 +30,13 @@ class DataError(Exception):
     """Invalid or inconsistent input files or flag values."""
 
 
+def _seed(text: str) -> int:
+    """The type of every --seed: numpy's generators take no negative seed."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _add_prior_flags(p: argparse.ArgumentParser):
     p.add_argument("--a-small", type=float, default=model.DEFAULT_A_SMALL,
                    help="prior shape biasing a group's own features (default 32)")
@@ -65,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--per-group", type=int, default=None,
                    help="features per group (default I / C)")
     _add_prior_flags(g)
-    g.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    g.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
 
     t = sub.add_parser("train", help="fit the factorization to a data matrix")
     t.add_argument("--data", required=True)
@@ -79,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--bound-every", type=int, default=1,
                    help="sweeps between bound evaluations (default 1)")
     _add_prior_flags(t)
-    t.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    t.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
     t.add_argument("--out", required=True, help="model archive output path")
     t.add_argument("--bound-trace", default=None,
                    help="CSV of bound traces: sweep index, then one bound column per "
@@ -105,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_prior_flags(e)
     e.add_argument("--single-group", action="store_true",
                    help="collapse the prior to one group (label-blind baseline)")
-    e.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    e.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
     e.add_argument("--report", required=True, help="JSON report output path")
 
     s = sub.add_parser("sweep", help="grid search over prior settings")
@@ -113,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--data", required=True)
     s.add_argument("--labels", required=True)
     _add_protocol_flags(s)
-    s.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    s.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
     s.add_argument("--report", required=True)
 
     v = sub.add_parser("prevalence", help="per-label coefficient-mass heatmap")
@@ -133,7 +140,7 @@ def _load_labels(path, n_samples: int) -> np.ndarray:
     if raw.size != n_samples:
         raise DataError(f"{path}: {raw.size} labels for {n_samples} samples")
     # Checked before the cast: NaN, inf or a value past int64 would cast with a warning.
-    if not ((raw == np.round(raw)) & (np.abs(raw) < 2.0**63)).all():
+    if not io._integers_in(raw, -(2.0**63), 2.0**63):
         raise DataError(f"{path}: labels must be integers")
     labels = raw.astype(int)
     if labels.min() < 0:

@@ -460,9 +460,10 @@ def _fit_batch(X, hyper, groups, config: FitConfig, seeds) -> list[FitResult]:
     """
     # The sweep and the bound read only the mode; assignments sit on Delta.
     mode = groups[0]
-    offset = _bound_constants(X, hyper, mode)
-    state = _init_states(hyper, groups, seeds)
-    fixed = _sweep_constants(X, hyper, mode, state.Delta)
+    with np.errstate(**_QUIET):  # the sweep and bound checks catch a non-finite set-up
+        offset = _bound_constants(X, hyper, mode)
+        state = _init_states(hyper, groups, seeds)
+        fixed = _sweep_constants(X, hyper, mode, state.Delta)
     traces: list[list[tuple[int, float]]] = [[] for _ in seeds]
 
     def bound(state, sweep):

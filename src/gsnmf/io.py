@@ -7,9 +7,9 @@ Model archives carry magic ``GSNMA``, a version byte of 3, a fixed header
 (mode, seed, group count) and then the same matrix blocks: the group
 vector, five hyperparameter blocks, ten state blocks (alpha and beta of
 the dictionary, coefficient and rate-indicator gamma factors, then
-Sigma_t, Sigma_v, Delta, Pi) and the bound trace. Gamma means and
-log-means are rebuilt from (alpha, beta) on load, which rejects a
-non-positive or non-finite alpha or beta. Both formats round-trip bitwise.
+Sigma_t, Sigma_v, Delta, Pi) and the bound trace. Loading checks the
+header, group vector, gamma factors and bound trace, and rebuilds gamma
+means and log-means from (alpha, beta). Both formats round-trip bitwise.
 """
 
 from __future__ import annotations
@@ -148,13 +148,7 @@ class ModelArchive:
     def from_fit(
         cls, hyper: Hyperparameters, groups: GroupAssignment, result: FitResult
     ) -> "ModelArchive":
-        return cls(
-            hyper=hyper,
-            groups=groups,
-            state=result.state,
-            bound_trace=list(result.bound_trace),
-            seed=result.seed,
-        )
+        return cls(hyper, groups, result.state, list(result.bound_trace), result.seed)
 
 
 # Each gamma factor is stored as its alpha and beta blocks, in this order.
@@ -191,6 +185,11 @@ def save_model(archive: ModelArchive, path):
     _atomic_write(path, b"".join(parts))
 
 
+def _integers_in(values: np.ndarray, low: float, high: float) -> bool:
+    """Whether every entry is an integer in [low, high); NaN and inf are not."""
+    return bool(np.all((values == np.floor(values)) & (values >= low) & (values < high)))
+
+
 def load_model(path) -> ModelArchive:
     raw = Path(path).read_bytes()
     if not raw.startswith(ARCHIVE_MAGIC):
@@ -201,6 +200,8 @@ def load_model(path) -> ModelArchive:
     version, observed, seed, n_groups = _ARCHIVE_HEADER.unpack_from(raw, offset)
     if version != ARCHIVE_VERSION:
         raise FormatError(f"unsupported archive version {version}")
+    if observed > 1:
+        raise FormatError(f"{path}: bad archive header (observed flag {observed} is not 0 or 1)")
     buf = memoryview(raw)
     z_matrix, offset = _read_matrix_block(buf, offset + _ARCHIVE_HEADER.size)
     blocks = []
@@ -211,10 +212,16 @@ def load_model(path) -> ModelArchive:
         raise FormatError("trailing bytes after archive payload")
     A_t, B_t, A_lambda, B_lambda, U = blocks[:5]
     hyper = Hyperparameters(A_t=A_t, B_t=B_t, A_lambda=A_lambda, B_lambda=B_lambda, U=U)
+    C = hyper.dims[2]
+    if n_groups != C:
+        raise FormatError(f"{path}: bad archive header ({n_groups} groups for a prior of {C})")
     if observed:
-        groups = GroupAssignment(int(n_groups), z_matrix.ravel().astype(int))
+        if not _integers_in(z_matrix, 0, C):
+            raise FormatError(f"{path}: bad group vector block (entries must be integers "
+                              f"in [0, {C}))")
+        groups = GroupAssignment(C, z_matrix.ravel().astype(int))
     else:
-        groups = GroupAssignment.latent(int(n_groups))
+        groups = GroupAssignment.latent(C)
     state_blocks = iter(blocks[5:-1])
     factors = {}
     try:
@@ -226,14 +233,11 @@ def load_model(path) -> ModelArchive:
     except ValueError as exc:
         raise FormatError(f"{path}: bad gamma factor block ({exc})") from exc
     state = VariationalState(**factors, **dict(zip(_STATE_MATRICES, state_blocks)))
-    trace = [(int(s), float(b)) for s, b in blocks[-1]]
-    return ModelArchive(
-        hyper=hyper,
-        groups=groups,
-        state=state,
-        bound_trace=trace,
-        seed=int(seed),
-    )
+    trace = blocks[-1]
+    if trace.shape[1] != 2 or not _integers_in(trace[:, 0], -(2.0**63), 2.0**63):
+        raise FormatError(f"{path}: bad bound trace block (expected (sweep, bound) rows "
+                          f"with int64 sweeps, got shape {trace.shape})")
+    return ModelArchive(hyper, groups, state, [(int(s), float(b)) for s, b in trace], seed)
 
 
 def save_pgm(image, path):

@@ -203,15 +203,18 @@ def test_prior_contrast_ladder(tmp_path):
     assert {x["subspace_dimension"] for x in reports} == {2}
 
 
-def test_prevalence_writes_heatmap(workspace):
+@pytest.mark.parametrize("style", ["hinton", "magnitude"])
+def test_prevalence_writes_heatmap(workspace, style):
     r = run_cli(
         ["prevalence", "--model", "model.gsnm", "--labels", "truth/z_true.bin",
-         "--out", "heat.pgm", "--style", "hinton", "--cell-px", "6"],
+         "--out", "heat.pgm", "--style", style, "--cell-px", "6"],
         workspace,
     )
     assert r.returncode == 0, r.stderr
+    assert r.stdout == f"prevalence: wrote 2x4 {style} heatmap to heat.pgm\n"
     img = load_pgm(workspace / "heat.pgm")
     assert img.shape == (2 * 6, 4 * 6)
+    assert img.min() == 0  # both styles draw the largest mass black
 
 
 def test_usage_error_exits_2(tmp_path):
@@ -467,6 +470,42 @@ def test_a_prior_sum_that_overflows_exits_4_without_numpy_warnings(tmp_path):
         "gsnmf train: numerical failure: non-finite bound contribution from the "
         "coefficient terms at sweep 1 in restart 0\n"
     )
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["train", "--dict-size", "2", "--a-t", "1e-310", "--out", "out"], id="a_t-1e-310"),
+    pytest.param(["train", "--dict-size", "2", "--a-t", "1e308", "--out", "out"], id="a_t-1e308"),
+    pytest.param(["evaluate", "--per-group", "1", "--folds", "2", "--runs", "1",
+                  "--a-small", "1e-320", "--a-large", "1", "--report", "out"], id="a_small-1e-320"),
+])
+def test_a_prior_that_overflows_in_the_set_up_exits_4_with_one_line(tmp_path, command):
+    # Valid but extreme priors overflow before the first sweep; the child
+    # turns a RuntimeWarning into an error, so a warning would not exit 4.
+    io.save_matrix(np.full((4, 6), 5.0), tmp_path / "X.bin", "binary")
+    io.save_matrix((np.arange(6) % 2)[None, :].astype(float), tmp_path / "y.bin", "binary")
+    r = run_cli(command[:1] + ["--data", "X.bin", "--labels", "y.bin", "--sweeps", "5",
+                               "--restarts", "1"] + command[1:], tmp_path)
+    assert r.returncode == 4, r.stderr
+    assert r.stderr.startswith(f"gsnmf {command[0]}: numerical failure: ")
+    assert r.stderr.count("\n") == 1, r.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--out", "X.bin", "--truth", "truth", "--dims", "4,2,2,6"],
+    ["train", "--data", "X.bin", "--dict-size", "2", "--out", "m.gsnm"],
+    ["evaluate", "--data", "X.bin", "--labels", "y.bin", "--report", "r.json"],
+    ["sweep", "--grid", "g.json", "--data", "X.bin", "--labels", "y.bin", "--report", "r.json"],
+], ids=lambda command: command[0])
+def test_a_negative_seed_is_a_usage_error_naming_the_flag(command, capsys):
+    from gsnmf import cli
+
+    with pytest.raises(SystemExit) as info:
+        cli.main(command + ["--seed", "-1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"gsnmf {command[0]}: error: argument --seed: "
+                        "expected a nonnegative integer, got '-1'\n"), err
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])

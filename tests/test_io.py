@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -164,6 +167,40 @@ def test_model_loader_rejects_a_nonpositive_gamma_shape(tmp_path):
             io.save_model(io.ModelArchive.from_fit(hyper, groups, result), path)
             with pytest.raises(io.FormatError, match="gamma factor"):
                 io.load_model(path)
+
+
+_HEADER = len(io.ARCHIVE_MAGIC)  # version, observed flag, seed, group count
+_GROUP_VECTOR = _HEADER + io._ARCHIVE_HEADER.size + 16  # its first entry
+
+
+@pytest.mark.parametrize("offset, fmt, value, why", [
+    (_HEADER + 1, "<B", 7, "bad archive header (observed flag 7 is not 0 or 1)"),
+    (_HEADER + 10, "<Q", 3, "bad archive header (3 groups for a prior of 2)"),
+    (_GROUP_VECTOR, "<d", 1.5, "bad group vector block"),
+    (_GROUP_VECTOR, "<d", np.nan, "bad group vector block"),
+    (_GROUP_VECTOR, "<d", -np.inf, "bad group vector block"),
+    (_GROUP_VECTOR, "<d", 2.0, "bad group vector block"),
+], ids=["observed-flag", "group-count", "index-1.5", "index-nan", "index-inf", "index-2"])
+def test_model_loader_rejects_a_bad_header_or_group_vector(tmp_path, offset, fmt, value, why):
+    path = saved_archive(tmp_path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(io.FormatError, match=re.escape(f"{path}: {why}")):
+        io.load_model(path)
+
+
+@pytest.mark.parametrize("trace", [
+    np.ones((2, 3)), np.ones((2, 1)), np.array([[1.5, -3.0]]), np.array([[np.nan, -3.0]]),
+    np.array([[-np.inf, -3.0]]), np.array([[2.0**63, -3.0]]),
+], ids=["3-columns", "1-column", "sweep-1.5", "sweep-nan", "sweep-inf", "sweep-2**63"])
+def test_model_loader_rejects_a_bound_trace_that_is_not_sweep_bound_rows(tmp_path, trace):
+    path = saved_archive(tmp_path)
+    raw = path.read_bytes()
+    stored = 16 + 16 * len(io.load_model(path).bound_trace)  # the last block
+    path.write_bytes(raw[:-stored] + struct.pack("<QQ", *trace.shape) + trace.tobytes())
+    with pytest.raises(io.FormatError, match=re.escape(f"{path}: bad bound trace block")):
+        io.load_model(path)
 
 
 def test_model_loader_rejects_every_truncation(tmp_path):
