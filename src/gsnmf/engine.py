@@ -204,8 +204,10 @@ def _init_states(hyper: Hyperparameters, groups, seeds) -> VariationalState:
 
 
 def init_state(hyper: Hyperparameters, groups: GroupAssignment, seed: int = 0) -> VariationalState:
-    """Random starting point of one fit; see ``_init_states``."""
-    return _take(_init_states(hyper, [groups], [seed]), 0)
+    """Random starting point of one fit; see ``_init_states``. A prior extreme
+    enough to overflow here gives a state that the sweep and the bound reject."""
+    with np.errstate(**_QUIET):
+        return _take(_init_states(hyper, [groups], [seed]), 0)
 
 
 def _sweep_constants(X, hyper: Hyperparameters, groups: GroupAssignment, delta: np.ndarray):
@@ -296,8 +298,9 @@ def update_sweep(state, data, hyper, groups, sweep=None) -> VariationalState:
     The fit loop sweeps its batches of restarts through the same ``_sweep``,
     with the constants of ``_sweep_constants`` derived once per fit.
     """
-    fixed = _sweep_constants(data, hyper, groups, state.Delta)
-    return _sweep(state, data, hyper, groups, sweep, *fixed)
+    with np.errstate(**_QUIET):  # the finite checks name what fails
+        fixed = _sweep_constants(data, hyper, groups, state.Delta)
+        return _sweep(state, data, hyper, groups, sweep, *fixed)
 
 
 def _bound_constants(data, hyper: Hyperparameters, groups: GroupAssignment) -> float | np.ndarray:
@@ -345,23 +348,25 @@ def variational_bound(
     cells = (-2, -1)
     t, v, lam = state.t, state.v, state.lam
     delta_t = np.swapaxes(state.Delta, -1, -2)
-    log_denom = np.log(state.reconstruction[2])
-    log_denom *= data
-    terms = {
-        "constant": _bound_constants(data, hyper, groups) if constants is None else constants,
-        "mixing": np.sum(log_denom, axis=cells)
-        - (t.mean.sum(axis=-2)[..., None, :] @ v.mean.sum(axis=-1)[..., :, None])[..., 0, 0],
-        "dictionary": _gamma_terms(t, (hyper.A_t - 1.0) * t.log_mean - t.mean / hyper.B_t),
-        "coefficient": _gamma_terms(v, lam.log_mean @ delta_t - (lam.mean @ delta_t) * v.mean),
-        "rate-indicator": _gamma_terms(
-            lam, (hyper.A_lambda - 1.0) * lam.log_mean - lam.mean / hyper.B_lambda
-        ),
-    }
-    if not groups.observed:
-        delta = state.Delta
-        Y = hyper.U + delta
-        plogp = np.where(delta > 0.0, delta * np.log(np.maximum(delta, _DENOM_FLOOR)), 0.0)
-        terms["group"] = np.sum(log_gamma(Y) - plogp, axis=cells) - np.sum(log_gamma(Y.sum(-1)), -1)
+    with np.errstate(**_QUIET):  # the finite checks below name the failing terms
+        log_denom = np.log(state.reconstruction[2])
+        log_denom *= data
+        terms = {
+            "constant": _bound_constants(data, hyper, groups) if constants is None else constants,
+            "mixing": np.sum(log_denom, axis=cells)
+            - (t.mean.sum(axis=-2)[..., None, :] @ v.mean.sum(axis=-1)[..., :, None])[..., 0, 0],
+            "dictionary": _gamma_terms(t, (hyper.A_t - 1.0) * t.log_mean - t.mean / hyper.B_t),
+            "coefficient": _gamma_terms(v, lam.log_mean @ delta_t - (lam.mean @ delta_t) * v.mean),
+            "rate-indicator": _gamma_terms(
+                lam, (hyper.A_lambda - 1.0) * lam.log_mean - lam.mean / hyper.B_lambda
+            ),
+        }
+        if not groups.observed:
+            delta = state.Delta
+            Y = hyper.U + delta
+            plogp = np.where(delta > 0.0, delta * np.log(np.maximum(delta, _DENOM_FLOOR)), 0.0)
+            terms["group"] = (np.sum(log_gamma(Y) - plogp, axis=cells)
+                              - np.sum(log_gamma(Y.sum(-1)), -1))
     total = 0.0
     for name, value in terms.items():
         _require(np.isfinite(value), sweep, "non-finite bound contribution from the", name, "terms")
@@ -467,8 +472,7 @@ def _fit_batch(X, hyper, groups, config: FitConfig, seeds) -> list[FitResult]:
     traces: list[list[tuple[int, float]]] = [[] for _ in seeds]
 
     def bound(state, sweep):
-        with np.errstate(**_QUIET):  # numpy's error state is per thread
-            bounds = variational_bound(state, X, hyper, mode, sweep, constants=offset)
+        bounds = variational_bound(state, X, hyper, mode, sweep, constants=offset)
         for trace, value in zip(traces, bounds):
             trace.append((sweep, float(value)))
 

@@ -211,7 +211,10 @@ def load_model(path) -> ModelArchive:
     if offset != len(raw):
         raise FormatError("trailing bytes after archive payload")
     A_t, B_t, A_lambda, B_lambda, U = blocks[:5]
-    hyper = Hyperparameters(A_t=A_t, B_t=B_t, A_lambda=A_lambda, B_lambda=B_lambda, U=U)
+    try:
+        hyper = Hyperparameters(A_t=A_t, B_t=B_t, A_lambda=A_lambda, B_lambda=B_lambda, U=U)
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad hyperparameter block ({exc})") from exc
     C = hyper.dims[2]
     if n_groups != C:
         raise FormatError(f"{path}: bad archive header ({n_groups} groups for a prior of {C})")

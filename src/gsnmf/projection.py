@@ -18,6 +18,15 @@ bound is at most half of ``_MAX_CHOLESKY_RATIO`` (the half absorbs rounding),
 no block can fail, and the per-block check is skipped: every block is solved
 directly, as the check would have let it be.
 
+Where no block can fail, each column also starts warm, as FCNNLS does (Van
+Benthem and Keenan, below): its free set is {j : (G_u^-1 (A^T b)_u)_j > 0},
+from the inverse that the test formed. The free sets are solved, every
+coordinate with z <= 0 is dropped, and they are solved again until z_F > 0;
+each round drops a coordinate, so there are at most I rounds. x = z is then a
+valid Lawson-Hanson state, from which the active set runs unchanged. Otherwise
+every column starts from an empty free set. Iteration counts and caps count
+only the coordinates freed after that start.
+
 A (V, M) block of targets runs in lockstep (Van Benthem and Keenan, J.
 Chemometrics 18, 2004): each outer iteration frees a coordinate in every column
 still iterating and solves the free sets of each size with one stacked
@@ -45,7 +54,8 @@ class NnlsSolution:
     """Outcome of one nonnegative least-squares solve of a target or a block.
 
     A (V,) target gives (I,) ``coefficients``, a (V, M) block (I, M);
-    ``iterations`` sums over columns. ``capped`` lists the columns that hit the
+    ``iterations`` sums over columns the coordinates freed after each column's
+    start (module docstring). ``capped`` lists the columns that hit the
     iteration cap before the KKT conditions held (they return their last
     iterate); ``optimal`` is True if none did. The solution holds no reference
     to the arrays passed to ``nnls``.
@@ -92,15 +102,16 @@ def _well_conditioned(blocks):
     return diagonals.max(axis=1) <= _MAX_CHOLESKY_RATIO * diagonals.min(axis=1)
 
 
-def _no_block_can_fail(gram):
-    """True if sqrt(trace(gram)·||gram^-1||_F) <= ``_MAX_CHOLESKY_RATIO`` / 2 (module docstring)."""
+def _inverse_if_no_block_can_fail(gram):
+    """``gram^-1`` if sqrt(trace(gram)·||gram^-1||_F) <= ``_MAX_CHOLESKY_RATIO`` / 2
+    (module docstring), else None."""
     try:
         inverse = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
-        return False
+        return None
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the test, silently
         bound = np.trace(gram) * np.linalg.norm(inverse)
-    return bool(bound <= (_MAX_CHOLESKY_RATIO / 2) ** 2)
+    return inverse if bound <= (_MAX_CHOLESKY_RATIO / 2) ** 2 else None
 
 
 def _solve_free_sets(G, Atb, A, targets, columns, free, check_blocks):
@@ -132,11 +143,20 @@ def _active_set(A, targets, G, Atb, usable, threshold, max_iter):
     M, n = Atb.shape
     x = np.zeros((M, n))
     free = np.zeros((M, n), dtype=bool)
-    w = Atb.copy()
     iterations = np.zeros(M, dtype=int)
     optimal = np.zeros(M, dtype=bool)
     live = np.arange(M)
-    check_blocks = not _no_block_can_fail(G[usable][:, usable])
+    inverse = _inverse_if_no_block_can_fail(G[usable][:, usable])
+    check_blocks = inverse is None
+    if not check_blocks:
+        # Warm start (module docstring); at most I rounds.
+        free[:, usable] = _matvec(inverse, Atb[:, usable]) > 0.0
+        rows = live
+        while rows.size:
+            x[rows] = _solve_free_sets(G, Atb[rows], A, targets, rows, free[rows], False)
+            rows = rows[(free[rows] & (x[rows] <= 0.0)).any(axis=1)]
+            free[rows] &= x[rows] > 0.0
+    w = Atb - _matvec(G, x)
     while True:
         gains = np.where(usable & ~free[live], w[live], -np.inf)
         done = gains.max(axis=1, initial=-np.inf) <= threshold[live]
@@ -177,11 +197,15 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
 
     ``target`` is a (V,) vector or a (V, M) block whose columns are solved
     together, each with exactly the result it gets alone. A column's KKT
-    threshold is derived from it and the dictionary (module docstring); its
-    iteration cap defaults to 3·I. All-zero dictionary columns, and columns whose
-    squared norm underflows, get coefficient 0 and one warning per kind. Raises
-    ``ValueError`` when ``A^T A`` is not finite, or naming the first column
-    whose ``A^T b`` or norm is not.
+    threshold is derived from it and the dictionary (module docstring). Where
+    the usable columns' Gram matrix proves that no block can fail the Cholesky
+    check, a column starts warm from the positive entries of its unconstrained
+    solution, pruned in at most I rounds; else from an empty free set.
+    ``max_iter`` (default 3·I) caps, per column, the coordinates freed after
+    that start, which is what ``iterations`` counts. All-zero dictionary
+    columns, and columns whose squared norm underflows, get coefficient 0 and
+    one warning per kind. Raises ``ValueError`` when ``A^T A`` is not finite,
+    or naming the first column whose ``A^T b`` or norm is not.
     """
     A = np.asarray(dictionary, dtype=float)
     b = np.asarray(target, dtype=float)

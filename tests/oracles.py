@@ -113,11 +113,13 @@ def column_loop_nnls(A: np.ndarray, b: np.ndarray, max_iter=None):
     The arithmetic of ``gsnmf.projection.nnls`` on a single target, one
     numpy call per step, so a lockstep block solve can be checked against it
     bit for bit, including its KKT threshold, multiplied in the same order:
-    10·eps·max(V, I)·max_j ||A[:, j]||_1·||b||_inf. It always runs the
+    10·eps·max(V, I)·max_j ||A[:, j]||_1·||b||_inf, and its warm start where
+    the Gram matrix proves that no block can fail. It always runs the
     per-block Cholesky check, so it is the reference for the solves that
-    ``nnls`` makes without it once its Gram matrix proves that no block can
-    fail. Returns (coefficients, residual norm, iterations, optimal). The
-    target is copied to contiguous memory first, as ``nnls`` copies its targets.
+    ``nnls`` makes without it once that proof holds. ``iterations`` counts the
+    coordinates freed after the warm start. Returns (coefficients, residual
+    norm, iterations, optimal). The target is copied to contiguous memory
+    first, as ``nnls`` copies its targets.
     """
     b = np.ascontiguousarray(b)
     n = A.shape[1]
@@ -142,9 +144,27 @@ def column_loop_nnls(A: np.ndarray, b: np.ndarray, max_iter=None):
                 z[F] = np.linalg.lstsq(A[:, F], b, rcond=None)[0]
         return z
 
+    # nnls's once-per-call test: no free set's Gram block can fail the check
+    # when trace(G_u)·||G_u^-1||_F <= (1e4 / 2)**2 for the usable columns' G_u.
+    # Then each target starts from the positive entries of G_u^-1 (A^T b)_u,
+    # dropping every free coordinate whose solution is <= 0 until none is.
     usable = np.diag(G) > 0.0
-    x, free, w = np.zeros(n), np.zeros(n, dtype=bool), Atb
-    best_x, best_residual = x, float(np.linalg.norm(b))
+    G_u = G[usable][:, usable]
+    x, free = np.zeros(n), np.zeros(n, dtype=bool)
+    try:
+        inverse = np.linalg.inv(G_u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            proven = np.trace(G_u) * np.linalg.norm(inverse) <= (1e4 / 2) ** 2
+    except np.linalg.LinAlgError:
+        proven = False
+    if proven:
+        free[usable] = inverse @ Atb[usable] > 0.0
+        x = solve(free)
+        while (x[free] <= 0.0).any():
+            free &= x > 0.0
+            x = solve(free)
+    w = Atb - G @ x
+    best_x, best_residual = x, float(np.linalg.norm(b - A @ x))
     iterations, optimal = 0, False
     while True:
         candidates = usable & ~free

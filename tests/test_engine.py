@@ -684,6 +684,21 @@ def test_a_sweep_that_loses_the_counts_is_a_numerical_error():
         fit(np.full((4, 6), 5.0), hyper, groups, FitConfig(max_sweeps=20))
 
 
+def test_single_state_calls_name_an_overflow_in_the_set_up_without_a_numpy_warning():
+    # a_t = 1e308 overflows the dictionary's mean in init_state. Under the
+    # suite's error::RuntimeWarning filter, init_state must return, and the
+    # sweep and the bound of its state must name what is not finite.
+    hyper = PriorSettings(per_group=1, a_t=1e308).hyperparameters(4, 2, 6)
+    groups = GroupAssignment(2, np.arange(6) % 2)
+    X = np.full((4, 6), 5.0)
+    state = init_state(hyper, groups)
+    assert np.isinf(state.E_t).all()
+    with pytest.raises(NumericalError, match="^non-finite values in Sigma_v at sweep 1$"):
+        update_sweep(state, X, hyper, groups, sweep=1)
+    with pytest.raises(NumericalError, match="^non-finite bound contribution from the constant"):
+        variational_bound(state, X, hyper, groups)
+
+
 @pytest.mark.parametrize("mode", ["observed", "latent"])
 def test_state_derives_its_reconstruction_once(mode):
     X, hyper, groups = small_problem(seed=14)
