@@ -212,10 +212,12 @@ def init_state(hyper: Hyperparameters, groups: GroupAssignment, seed: int = 0) -
 
 def _sweep_constants(X, hyper: Hyperparameters, groups: GroupAssignment, delta: np.ndarray):
     """What every sweep of a fit reads unchanged: the data total of each
-    restart and, in observed mode, where ``Delta`` never changes, the
-    rate-indicator shape and its digamma (else None)."""
+    restart, the prior rates 1/B_t and 1/B_lambda and, in observed mode,
+    where ``Delta`` never changes, the rate-indicator shape and its digamma
+    (else None)."""
     shape = hyper.A_lambda + delta.sum(axis=-2)[..., None, :]
-    return np.sum(X, axis=(-2, -1)), ((shape, digamma(shape)) if groups.observed else None)
+    lam_shape = (shape, digamma(shape)) if groups.observed else None
+    return np.sum(X, axis=(-2, -1)), 1.0 / hyper.B_t, 1.0 / hyper.B_lambda, lam_shape
 
 
 def _sweep(
@@ -225,14 +227,16 @@ def _sweep(
     groups: GroupAssignment,
     sweep: int | None,
     total: np.ndarray,
+    prior_rate_t: np.ndarray,
+    prior_rate_lam: np.ndarray,
     lam_shape: tuple[np.ndarray, np.ndarray] | None,
 ) -> VariationalState:
     """One full coordinate-ascent sweep of a state or a batch; returns a fresh state.
 
     ``X`` is the (V, T) matrix of a single state or the (R, V, T) stack of a
     batch, one matrix per restart. Of ``groups`` only the mode (observed or
-    latent) is read; the assignment itself sits on ``Delta``. ``total`` and
-    ``lam_shape`` come from ``_sweep_constants`` (a None ``lam_shape``: derived here).
+    latent) is read; the assignment itself sits on ``Delta``. The last four
+    arguments come from ``_sweep_constants`` (a None ``lam_shape``: derived here).
     Reconstruction denominators are floored at a tiny positive value, so
     cells of the data with value 0 contribute zero counts. No array of
     ``state`` is written: its bound may run on another thread meanwhile.
@@ -256,7 +260,7 @@ def _sweep(
     _require(abs(allocated - total) <= 1e-10 * total, sweep, "counts not conserved in Sigma_v")
 
     # Dictionary posterior (uses the pre-sweep coefficient means).
-    rate_t = 1.0 / hyper.B_t + state.v.mean.sum(axis=-1)[..., None, :]
+    rate_t = prior_rate_t + state.v.mean.sum(axis=-1)[..., None, :]
     t = GammaFactor(hyper.A_t + Sigma_t, np.divide(1.0, rate_t, out=rate_t))
     _check_finite("E_t", t.mean, sweep)
 
@@ -268,7 +272,7 @@ def _sweep(
 
     # Rate-indicator posterior (uses the fresh coefficient means).
     alpha, psi = lam_shape or (hyper.A_lambda + state.Delta.sum(axis=-2)[..., None, :], None)
-    rate_lam = 1.0 / hyper.B_lambda + v.mean @ state.Delta
+    rate_lam = prior_rate_lam + v.mean @ state.Delta
     lam = GammaFactor(alpha, np.divide(1.0, rate_lam, out=rate_lam), psi)
     _check_finite("E_lambda", lam.mean, sweep)
 

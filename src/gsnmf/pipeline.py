@@ -7,7 +7,9 @@ training columns, and the training labels double as the groups of the
 sparsity prior (identity map; one group for the label-blind baseline). The
 classifier itself never sees the prior. Train-time features are the
 posterior coefficient means of the fitted model, test-time features are
-nonnegative least-squares projections onto the fitted dictionary.
+nonnegative least-squares projections onto the fitted dictionary. The
+protocol's unit of work is ``_score``: it fits, projects and classifies
+one engine batch of (run, fold, restart) cells from ``_batches``.
 """
 
 from __future__ import annotations
@@ -144,26 +146,56 @@ def stratified_folds(labels, folds: int, seed: int) -> list[tuple[np.ndarray, np
         )
     rng = np.random.default_rng(seed)
     assignment = np.empty(y.size, dtype=int)
-    offset = 0
-    for cls in range(counts.size):
+    for cls, offset in enumerate(np.cumsum(counts) - counts):
         idx = np.flatnonzero(y == cls)
         idx = idx[rng.permutation(idx.size)]
         # Rotate the starting fold per class so fold sizes stay balanced.
         assignment[idx] = (np.arange(idx.size) + offset) % folds
-        offset += idx.size
-    out = []
-    everything = np.arange(y.size)
-    for f in range(folds):
-        test = everything[assignment == f]
-        train = everything[assignment != f]
-        out.append((train, test))
-    return out
+    return [
+        (np.flatnonzero(assignment != f), np.flatnonzero(assignment == f)) for f in range(folds)
+    ]
 
 
 def _cell_seeds(seed: int, runs: int, folds: int, restarts: int) -> np.ndarray:
     """Pre-assigned seeds: one partition seed per run plus one per cell."""
     n = runs * (1 + folds * restarts)
     return np.random.SeedSequence(seed).generate_state(n, dtype=np.uint32)
+
+
+def _score(X, y, hyper, fit_config: FitConfig, cells) -> list[tuple[int, int, int, float]]:
+    """Fit, project and classify one engine batch: the protocol's unit of work.
+
+    ``cells`` are (run, fold, restart, train, test, groups, seed) of one
+    training-set size (prior ``hyper``), a fold's restarts consecutive and
+    sharing one copy of its training columns; one ``fit_restarts`` call
+    fits them all. Returns (run, fold, restart, accuracy) rows. Seeds are
+    pre-assigned per cell, so a cell's result depends neither on its batch
+    nor on batch order: a pool may map this over ``_batches``.
+    """
+    _, _, _, trains, _, groups, seeds = zip(*cells)
+    data = [X[:, trains[0]]]
+    for previous, train in zip(trains, trains[1:]):
+        data.append(data[-1] if train is previous else X[:, train])
+    try:
+        results = fit_restarts(data, hyper, groups, fit_config, seeds)
+    except NumericalError as exc:
+        r, f, k = cells[exc.restart][:3]
+        # The batch's own message, without the engine's index of the seed.
+        message = f"fit failed at run {r}, fold {f}, restart {k}: {exc.__cause__ or exc}"
+        raise NumericalError(message, restart=k) from exc
+    rows = []
+    for (r, f, k, train, test, _, _), result in zip(cells, results):
+        test_features = project_matrix(result.state.E_t, X[:, test])
+        predicted = knn_cosine_classify(result.state.E_v, y[train], test_features)
+        rows.append((r, f, k, float(np.mean(predicted == y[test]))))
+    return rows
+
+
+def _batches(by_size: dict[int, list], n_rows: int):
+    """The engine batches of cells listed by training-set size."""
+    for t, cells in by_size.items():
+        size = restarts_per_batch(n_rows, t)
+        yield from (cells[first:first + size] for first in range(0, len(cells), size))
 
 
 def evaluate(dataset: LabeledDataset, settings: PriorSettings, config: CvConfig) -> AccuracyReport:
@@ -174,64 +206,31 @@ def evaluate(dataset: LabeledDataset, settings: PriorSettings, config: CvConfig)
     columns onto the fitted dictionary, and classify them against the
     training coefficients. The prior depends on a fold only through its
     training-set size, so the cells of one size, across runs and folds,
-    are fitted together: one ``fit_restarts`` call per engine batch
-    (``restarts_per_batch``), each cell with its own training columns and
-    groups. A call's states are scored and dropped before the next, so
-    memory stays that of one batch. The report never reads bound traces,
-    so each fit computes the bound once, at its last sweep. Seeds are
-    pre-assigned per cell, so the result does not depend on execution
-    order. A ``NumericalError`` is re-raised with the cell (run, fold,
+    are fitted together. The unit of work is ``_score`` of one engine
+    batch from ``_batches``; a batch's states are dropped before the next
+    batch is fitted, so memory stays that of one batch. The report never
+    reads bound traces, so each fit computes the bound once, at its last
+    sweep. A ``NumericalError`` is re-raised with the cell (run, fold,
     restart) in its message; every other exception keeps its own type.
     """
-    X = dataset.data
-    y = dataset.labels
-    seeds = _cell_seeds(config.seed, config.runs, config.folds, config.restarts)
-    # Every (run, fold) with its columns, groups and restart seeds, listed
-    # by training-set size.
+    X, y = dataset.data, dataset.labels
+    seeds = iter(_cell_seeds(config.seed, config.runs, config.folds, config.restarts))
+    n_groups, labels = (1, np.zeros_like(y)) if settings.single_group else (dataset.n_classes, y)
+    # Every cell with its columns, groups and seed, listed by training-set size.
     by_size: dict[int, list] = {}
-    pos = 0
     for r in range(config.runs):
-        partition = stratified_folds(y, config.folds, int(seeds[pos]))
-        pos += 1
-        for f, (train_idx, test_idx) in enumerate(partition):
-            if settings.single_group:
-                groups = GroupAssignment(1, np.zeros(train_idx.size, dtype=int))
-            else:
-                groups = GroupAssignment(dataset.n_classes, y[train_idx])
-            fold = (r, f, train_idx, test_idx, groups, seeds[pos:pos + config.restarts])
-            by_size.setdefault(train_idx.size, []).append(fold)
-            pos += config.restarts
+        for f, (train, test) in enumerate(stratified_folds(y, config.folds, int(next(seeds)))):
+            groups = GroupAssignment(n_groups, labels[train])
+            by_size.setdefault(train.size, []).extend(
+                (r, f, k, train, test, groups, next(seeds)) for k in range(config.restarts)
+            )
 
     acc = np.zeros((config.runs, config.folds, config.restarts))
     fit_config = FitConfig(max_sweeps=config.sweeps, compute_bound_every=config.sweeps)
-    for t, folds in by_size.items():
-        hyper = settings.hyperparameters(X.shape[0], dataset.n_classes, t)
-        cells = [(fold, k) for fold in folds for k in range(config.restarts)]
-        size = restarts_per_batch(X.shape[0], t)
-        for first in range(0, len(cells), size):
-            batch = cells[first:first + size]
-            # The restarts of a fold share one copy of its training columns.
-            in_batch = {id(fold): fold for fold, _ in batch}
-            train = {key: X[:, fold[2]] for key, fold in in_batch.items()}
-            try:
-                results = fit_restarts(
-                    [train[id(fold)] for fold, _ in batch],
-                    hyper,
-                    [fold[4] for fold, _ in batch],
-                    fit_config,
-                    [fold[5][k] for fold, k in batch],
-                )
-            except NumericalError as exc:
-                (r, f, *_), k = batch[exc.restart]
-                # The batch's own message, without the engine's index of the seed.
-                detail = exc.__cause__ or exc
-                raise NumericalError(
-                    f"fit failed at run {r}, fold {f}, restart {k}: {detail}", restart=k
-                ) from exc
-            for ((r, f, train_idx, test_idx, _, _), k), result in zip(batch, results):
-                test_features = project_matrix(result.state.E_t, X[:, test_idx])
-                predicted = knn_cosine_classify(result.state.E_v, y[train_idx], test_features)
-                acc[r, f, k] = float(np.mean(predicted == y[test_idx]))
+    for cells in _batches(by_size, X.shape[0]):
+        hyper = settings.hyperparameters(X.shape[0], dataset.n_classes, cells[0][3].size)
+        for r, f, k, accuracy in _score(X, y, hyper, fit_config, cells):
+            acc[r, f, k] = accuracy
     return AccuracyReport(
         max_accuracy=float(acc.max(axis=2).mean()),
         mean_accuracy=float(acc.mean()),
@@ -254,11 +253,10 @@ def parameter_sweep(
     if not grid:
         raise ValueError("grid must be nonempty")
     reports = [evaluate(dataset, setting, config) for setting in grid]
-    ranked = sorted(
-        range(len(grid)),
-        key=lambda k: (-reports[k].max_accuracy, reports[k].subspace_dimension, k),
+    best = min(
+        range(len(grid)), key=lambda k: (-reports[k].max_accuracy, reports[k].subspace_dimension)
     )
-    return ranked[0], reports
+    return best, reports
 
 
 def group_prevalence(E_v, labels) -> np.ndarray:
@@ -271,11 +269,7 @@ def group_prevalence(E_v, labels) -> np.ndarray:
     y = np.asarray(labels, dtype=int)
     if coeffs.ndim != 2 or y.shape != (coeffs.shape[1],):
         raise ValueError("coefficients must be (I, T) with one label per column")
-    n_classes = int(y.max()) + 1
-    counts = np.bincount(y, minlength=n_classes)
+    counts = np.bincount(y)
     if (counts == 0).any():
         raise ValueError("empty labels are not allowed")
-    out = np.zeros((n_classes, coeffs.shape[0]))
-    for c in range(n_classes):
-        out[c] = np.abs(coeffs[:, y == c]).sum(axis=1) / counts[c]
-    return out
+    return np.stack([np.abs(coeffs[:, y == c]).sum(axis=1) / counts[c] for c in range(counts.size)])

@@ -296,6 +296,97 @@ def test_numerical_failure_in_a_cross_fold_batch_names_its_cell(
     assert info.value.restart == 1
 
 
+def reverse_batches(monkeypatch):
+    """Make ``evaluate`` score its engine batches last to first, as a pool
+    mapping ``_score`` over ``_batches`` may finish them; returns the batches."""
+    from gsnmf import pipeline
+
+    forward = pipeline._batches
+    batches = []
+
+    def backward(*args):
+        batches.extend(forward(*args))
+        return reversed(batches)
+
+    monkeypatch.setattr(pipeline, "_batches", backward)
+    return batches
+
+
+@pytest.mark.parametrize("single_group", [False, True])
+def test_batches_scored_in_reverse_fill_the_same_per_fold(
+    planted_dataset, monkeypatch, single_group
+):
+    from gsnmf import engine
+
+    monkeypatch.setattr(engine, "_BATCH_ELEMENTS", 3 * 40 * 68)
+    ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
+    settings = PriorSettings(
+        per_group=2, a_small=1.0, a_large=64.0, b_lambda=1.0, single_group=single_group
+    )
+    config = quick_cv(folds=4, runs=2, restarts=2, sweeps=15, seed=3)
+    expected = evaluate(ds, settings, config).per_fold
+    batches = reverse_batches(monkeypatch)
+    np.testing.assert_array_equal(evaluate(ds, settings, config).per_fold, expected)
+    assert [cells[0][3].size for cells in batches] == [67, 67, 67, 68, 68, 68]
+
+
+def test_a_poisoned_cell_scored_in_reverse_is_named(planted_dataset, monkeypatch):
+    from gsnmf import engine
+    from gsnmf.engine import NumericalError
+
+    monkeypatch.setattr(engine, "_BATCH_ELEMENTS", 3 * 40 * 68)
+    config = quick_cv(folds=4, runs=2, restarts=2, sweeps=5, seed=3)
+    # Run 1, fold 2, restart 1, as in the cross-fold batch test above.
+    seeds = _cell_seeds(config.seed, config.runs, config.folds, config.restarts)
+    target = int(seeds[(1 + 4 * 2) + 1 + 2 * 2 + 1])
+    start = engine._init_states
+
+    def poisoned(hyper, groups, batch_seeds):
+        state = start(hyper, groups, batch_seeds)
+        for j, seed in enumerate(batch_seeds):
+            if seed == target:
+                state.t.log_mean[j, 0, 0] = np.nan
+        return state
+
+    monkeypatch.setattr(engine, "_init_states", poisoned)
+    ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
+    settings = PriorSettings(per_group=1, a_small=1.0, a_large=16.0, b_lambda=1.0)
+    reverse_batches(monkeypatch)
+    with pytest.raises(NumericalError) as info:
+        evaluate(ds, settings, config)
+    assert str(info.value) == (
+        "fit failed at run 1, fold 2, restart 1: non-finite values in Sigma_v at sweep 1"
+    )
+    assert info.value.restart == 1
+
+
+def test_a_batch_is_dropped_before_the_next_is_fitted(planted_dataset, monkeypatch):
+    import weakref
+
+    from gsnmf import engine, pipeline
+
+    # Memory stays that of one batch: no dictionary or coefficient array of
+    # a batch's fits outlives its scoring.
+    monkeypatch.setattr(engine, "_BATCH_ELEMENTS", 3 * 40 * 68)
+    refs = []
+    calls = []
+
+    def spy(*args):
+        calls.append([ref() is None for ref in refs])
+        results = fit_restarts(*args)
+        for result in results:
+            refs.extend(weakref.ref(a) for a in (result.state.E_t, result.state.E_v))
+        return results
+
+    monkeypatch.setattr(pipeline, "fit_restarts", spy)
+    ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
+    settings = PriorSettings(per_group=2, a_small=1.0, a_large=64.0, b_lambda=1.0)
+    evaluate(ds, settings, quick_cv(folds=4, runs=2, restarts=2, sweeps=5, seed=3))
+    # Batches of 3, 3 and 2 cells per training-set size, two arrays a cell.
+    assert [len(dead) for dead in calls] == [0, 6, 12, 16, 22, 28]
+    assert all(all(dead) for dead in calls)
+
+
 def test_report_accuracy_statistics_are_consistent(planted_dataset):
     ds = LabeledDataset(planted_dataset["X"], planted_dataset["labels"])
     settings = PriorSettings(per_group=1, a_small=1.0, a_large=4.0, b_lambda=1.0)
