@@ -24,7 +24,7 @@ import numpy as np
 
 from .engine import FitResult, VariationalState
 from .model import GroupAssignment, Hyperparameters
-from .numerics import GammaFactor
+from .numerics import GammaFactor, _as_positive_array
 
 __all__ = [
     "FormatError",
@@ -230,8 +230,7 @@ def load_model(path) -> ModelArchive:
     try:
         for name in _STATE_FACTORS:
             alpha, beta = next(state_blocks), next(state_blocks)
-            if not np.all(np.isfinite(beta) & (beta > 0.0)):
-                raise ValueError("scale requires finite inputs > 0")
+            _as_positive_array(beta, "scale")
             factors[name] = GammaFactor(alpha, beta)
     except ValueError as exc:
         raise FormatError(f"{path}: bad gamma factor block ({exc})") from exc
@@ -253,11 +252,11 @@ def save_pgm(image, path):
 
 
 def export_heatmap(matrix, path, style: str = "magnitude", cell_px: int = 8):
-    """Render a matrix as a grayscale PGM.
+    """Render a matrix as a grayscale PGM of (cell_px * rows, cell_px * cols).
 
-    ``magnitude`` shades each cell linearly (dark = large); ``hinton`` draws
-    a centered dark square per cell with side proportional to sqrt(value).
-    The output image is (cell_px * rows, cell_px * cols).
+    Each cell is white with a centered square of its own side and shade:
+    ``magnitude`` draws full-side squares shaded linearly (dark = large),
+    ``hinton`` black squares with side proportional to sqrt(value).
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -267,23 +266,15 @@ def export_heatmap(matrix, path, style: str = "magnitude", cell_px: int = 8):
     if cell_px < 1:
         raise ValueError("cell_px must be >= 1")
     mags = np.maximum(m, 0.0)
-    top = mags.max()
-    scaled = mags / top if top > 0.0 else np.zeros_like(mags)
-    rows, cols = m.shape
-    canvas = np.full((rows * cell_px, cols * cell_px), 255.0)
+    scaled = mags / (mags.max() or 1.0)  # an all-zero matrix stays all zero
     if style == "magnitude":
-        shades = np.rint(255.0 * (1.0 - scaled))
-        canvas = np.kron(shades, np.ones((cell_px, cell_px)))
+        sides, shades = np.full(m.shape, cell_px), np.rint(255.0 * (1.0 - scaled))
     elif style == "hinton":
-        sides = np.rint(cell_px * np.sqrt(scaled)).astype(int)
-        for r in range(rows):
-            for c in range(cols):
-                s = sides[r, c]
-                if s <= 0:
-                    continue
-                r0 = r * cell_px + (cell_px - s) // 2
-                c0 = c * cell_px + (cell_px - s) // 2
-                canvas[r0 : r0 + s, c0 : c0 + s] = 0.0
+        sides, shades = np.rint(cell_px * np.sqrt(scaled)).astype(int), np.zeros(m.shape)
     else:
         raise ValueError(f"unknown heatmap style {style!r}")
-    save_pgm(canvas, path)
+    # Per cell and axis, which of its pixel offsets fall inside its square.
+    offsets, low = np.arange(cell_px), (cell_px - sides[..., None]) // 2
+    inside = (low <= offsets) & (offsets < low + sides[..., None])
+    cells = np.where(inside[..., :, None] & inside[..., None, :], shades[..., None, None], 255.0)
+    save_pgm(cells.transpose(0, 2, 1, 3).reshape(m.shape[0] * cell_px, -1), path)

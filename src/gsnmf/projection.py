@@ -88,11 +88,6 @@ def _matvec(matrix, rows):
     return (matrix @ rows[:, :, None])[:, :, 0]
 
 
-def _norms(rows):
-    """Euclidean norm of each row, with the bits of ``np.linalg.norm``."""
-    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
-
-
 def _well_conditioned(blocks):
     try:
         diagonals = np.linalg.cholesky(blocks).diagonal(axis1=1, axis2=2)
@@ -205,7 +200,7 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
     that start, which is what ``iterations`` counts. All-zero dictionary
     columns, and columns whose squared norm underflows, get coefficient 0 and
     one warning per kind. Raises ``ValueError`` when ``A^T A`` is not finite,
-    or naming the first column whose ``A^T b`` or norm is not.
+    or naming the first column whose ``A^T b`` or entries are not.
     """
     A = np.asarray(dictionary, dtype=float)
     b = np.asarray(target, dtype=float)
@@ -214,7 +209,8 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
     targets = b if b.ndim == 2 else b[:, None]
     (V, I), M = A.shape, targets.shape[1]
     max_iter = 3 * I if max_iter is None else max_iter
-    G = A.T @ A
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        G = A.T @ A
     if not np.isfinite(G).all():
         raise ValueError(f"dictionary {_TOO_LARGE}")
     usable, zero = np.diag(G) > 0.0, ~A.any(axis=0)
@@ -233,8 +229,9 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
         # One contiguous row per target column: BLAS rounds ``A^T b`` differently
         # for strided and contiguous b, and results must not depend on the caller's layout.
         B = np.ascontiguousarray(targets[:, block].T)
-        Atb[block] = _matvec(A.T, B)
-        finite = np.isfinite(Atb[block]).all(axis=1) & np.isfinite(_norms(B))
+        with np.errstate(over="ignore", invalid="ignore"):  # as for G
+            Atb[block] = _matvec(A.T, B)
+        finite = np.isfinite(Atb[block]).all(axis=1) & np.isfinite(B).all(axis=1)
         if not finite.all():
             column = block.start + int(np.argmin(finite))
             raise ValueError(f"sample column {column}: dictionary or target {_TOO_LARGE}")

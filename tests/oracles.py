@@ -2,8 +2,9 @@
 
 Nothing here imports from gsnmf's numerical internals: the special-function
 oracle runs on mpmath, the evidence oracle on scipy quadrature, the NNLS
-oracles on a dense grid and as a one-target loop, and the scalar fixed-point
-oracle iterates the closed-form update equations directly on floats.
+oracles on a dense grid and as a one-target loop, the scalar fixed-point
+oracle iterates the closed-form update equations directly on floats, and the
+heatmap oracle paints one cell at a time.
 """
 
 from __future__ import annotations
@@ -229,3 +230,26 @@ def brute_force_cosine_neighbors(train: np.ndarray, test: np.ndarray) -> np.ndar
                 distances.append(1.0 - float(train[:, n] @ test[:, m]) / (na * nb))
         out[m] = int(np.argmin(distances))
     return out
+
+
+def reference_heatmap(matrix: np.ndarray, style: str, cell_px: int) -> np.ndarray:
+    """The (cell_px * rows, cell_px * cols) canvas of ``gsnmf.io.export_heatmap``.
+
+    ``magnitude`` repeats each cell's shade over its pixels with ``np.kron``;
+    ``hinton`` paints each cell's centered black square in a loop over cells.
+    """
+    mags = np.maximum(matrix, 0.0)
+    top = mags.max()
+    scaled = mags / top if top > 0.0 else np.zeros_like(mags)
+    rows, cols = matrix.shape
+    if style == "magnitude":
+        return np.kron(np.rint(255.0 * (1.0 - scaled)), np.ones((cell_px, cell_px)))
+    canvas = np.full((rows * cell_px, cols * cell_px), 255.0)
+    sides = np.rint(cell_px * np.sqrt(scaled)).astype(int)
+    for r in range(rows):
+        for c in range(cols):
+            s = sides[r, c]
+            r0 = r * cell_px + (cell_px - s) // 2
+            c0 = c * cell_px + (cell_px - s) // 2
+            canvas[r0 : r0 + s, c0 : c0 + s] = 0.0
+    return canvas

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gsnmf import io
 from gsnmf.engine import FitConfig, fit
 from gsnmf.model import GroupAssignment, PriorSettings
+from oracles import reference_heatmap
 from pgm_reader import load_pgm
 
 
@@ -281,6 +282,30 @@ def test_export_heatmap_hinton_square_sizes(tmp_path):
     assert (img[:8, :8] == 0.0).all()
     assert (img[2:6, 10:14] == 0.0).sum() == 16
     assert (img[8:, :8] == 255.0).all()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    rows=st.integers(min_value=1, max_value=13),
+    cols=st.integers(min_value=1, max_value=13),
+    cell_px=st.integers(min_value=1, max_value=13),
+    kind=st.sampled_from(["zero", "negative", "signed"]),
+    decade=st.integers(min_value=-300, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_export_heatmap_matches_the_cell_by_cell_reference(
+    tmp_path, rows, cols, cell_px, kind, decade, seed
+):
+    # Entries span three decades below 10**decade, some are exactly zero, and
+    # the signed kind mixes signs; both styles write the reference's bytes.
+    rng = np.random.default_rng(seed)
+    m = 10.0 ** (decade - 3.0 * rng.random((rows, cols))) * (rng.random((rows, cols)) < 0.8)
+    m = {"zero": 0.0 * m, "negative": -m, "signed": m * rng.choice([-1.0, 1.0], m.shape)}[kind]
+    for style in ("magnitude", "hinton"):
+        io.export_heatmap(m, tmp_path / "h.pgm", style, cell_px)
+        io.save_pgm(reference_heatmap(m, style, cell_px), tmp_path / "ref.pgm")
+        assert (tmp_path / "h.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
 
 
 def test_export_heatmap_rejects_bad_input(tmp_path):

@@ -151,9 +151,10 @@ def test_nearly_parallel_columns_reach_an_in_cone_target():
 
 
 def test_rejects_targets_that_overflow():
+    # The package's error, with no numpy overflow warning before it.
     A = np.array([[1.0, 0.5], [0.2, 1.0], [0.3, 0.3]])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="float64"):
             nnls(A, np.full(3, 1e308))
         with pytest.raises(ValueError, match="sample column 1"):
@@ -267,10 +268,10 @@ def test_project_matrix_names_a_bad_column_in_a_later_block(monkeypatch):
 
 
 def test_an_overflowing_dictionary_is_named_without_a_column():
-    # Every target is finite; only A^T A overflows.
+    # Every target is finite; only A^T A overflows, and numpy does not warn.
     A = np.array([[1e200, 1.0], [1.0, 1.0], [0.5, 2.0]])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="^dictionary too large .*float64$"):
             project_matrix(A, np.ones((3, 4)))
 
@@ -285,18 +286,19 @@ def test_nnls_runs_one_active_set_over_a_wide_target(monkeypatch):
     S = np.asfortranarray(rng.random((6, 11)))
     monkeypatch.setattr(projection, "_BLOCK_ELEMENTS", 3 * A.shape[0] + 1)
     widths, copies = [], []
-    active_set, norms = projection._active_set, projection._norms
+    active_set, matvec = projection._active_set, projection._matvec
 
     def spy(A, targets, *args):
         widths.append(targets.shape[1])
         return active_set(A, targets, *args)
 
-    def norms_spy(rows):
-        copies.append(rows.shape)
-        return norms(rows)
+    def matvec_spy(matrix, rows):
+        if matrix.shape == A.T.shape:  # A^T b of one copy, not a product with G
+            copies.append(rows.shape)
+        return matvec(matrix, rows)
 
     monkeypatch.setattr(projection, "_active_set", spy)
-    monkeypatch.setattr(projection, "_norms", norms_spy)
+    monkeypatch.setattr(projection, "_matvec", matvec_spy)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         block = nnls(A, S)
@@ -540,11 +542,20 @@ def test_results_do_not_depend_on_the_targets_memory_layout():
                 assert nnls(A, samples[:, m]).coefficients.tobytes() == solo.tobytes()
 
 
-def test_project_matrix_silences_only_the_per_column_zero_warning():
-    # A numpy RuntimeWarning inside the solve reaches the caller.
+def test_project_matrix_silences_only_the_per_column_zero_warning(monkeypatch):
+    # A numpy RuntimeWarning inside the solve reaches the caller. nnls's own
+    # overflow checks warn no more, so the active set is made to overflow.
     A = np.array([[1.0, 0.5], [0.2, 1.0], [0.3, 0.3]])
-    with pytest.raises(RuntimeWarning, match="overflow"):
-        project_matrix(A, np.full((3, 1), 1e308))
+    active_set = projection._active_set
+
+    def overflowing(*args):
+        np.float64(1e308) * 10.0
+        return active_set(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(projection, "_active_set", overflowing)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            project_matrix(A, np.ones((3, 1)))
     # The zero-column warning comes once per call, not once per block.
     A = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     with warnings.catch_warnings(record=True) as caught:
@@ -654,7 +665,16 @@ def test_power_of_two_scaling_leaves_the_solve_unchanged():
             rng.random() < 0.5,
         )
         sol = nnls(A, b)
-        for c, d in [(2.0**-20, 1.0), (1.0, 2.0**-30), (2.0**15, 2.0**-15), (1.0, 2.0**25)]:
+        # Then the largest of b, A^T b and x goes just below 2^600 and 2^1000:
+        # finite targets whose squared norm overflows. LAPACK's least squares
+        # rescales a target above about 2^970 by a factor that is not a power
+        # of two, so 2^1000 runs only where no block can take the lstsq fallback.
+        top = np.frexp([abs(b).max(), abs(A.T @ b).max(), abs(sol.coefficients).max()])[1].max()
+        scales = [(2.0**-20, 1.0), (1.0, 2.0**-30), (2.0**15, 2.0**-15), (1.0, 2.0**25),
+                  (1.0, 2.0 ** (600 - top))]
+        if projection._inverse_if_no_block_can_fail(A.T @ A) is not None:
+            scales.append((1.0, 2.0 ** (1000 - top)))
+        for c, d in scales:
             scaled = nnls(c * A, d * b)
             assert (scaled.iterations, scaled.capped) == (sol.iterations, sol.capped)
             assert scaled.coefficients.tobytes() == (sol.coefficients * d / c).tobytes()
