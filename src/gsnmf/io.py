@@ -268,13 +268,15 @@ def export_heatmap(matrix, path, style: str = "magnitude", cell_px: int = 8):
     mags = np.maximum(m, 0.0)
     scaled = mags / (mags.max() or 1.0)  # an all-zero matrix stays all zero
     if style == "magnitude":
-        sides, shades = np.full(m.shape, cell_px), np.rint(255.0 * (1.0 - scaled))
+        sides = np.full(m.shape, cell_px)
+        shades = np.rint(255.0 * (1.0 - scaled))
     elif style == "hinton":
-        sides, shades = np.rint(cell_px * np.sqrt(scaled)).astype(int), np.zeros(m.shape)
+        sides = np.rint(cell_px * np.sqrt(scaled)).astype(int)
+        shades = np.zeros(m.shape)
     else:
         raise ValueError(f"unknown heatmap style {style!r}")
-    # Per cell and axis, which of its pixel offsets fall inside its square.
-    offsets, low = np.arange(cell_px), (cell_px - sides[..., None]) // 2
-    inside = (low <= offsets) & (offsets < low + sides[..., None])
+    # Per cell and axis, each pixel's offset from the start of the cell's square.
+    offsets = np.arange(cell_px) - (cell_px - sides[..., None]) // 2
+    inside = (offsets >= 0) & (offsets < sides[..., None])
     cells = np.where(inside[..., :, None] & inside[..., None, :], shades[..., None, None], 255.0)
     save_pgm(cells.transpose(0, 2, 1, 3).reshape(m.shape[0] * cell_px, -1), path)

@@ -9,6 +9,12 @@ exceeds its rounding level, ``_KKT_EPS``·max(V, I)·max_j ||A[:, j]||_1·||b||_
 raises, or its diagonal spans more than ``_MAX_CHOLESKY_RATIO``, a condition
 number of about 1e8) is solved by least squares on ``A[:, F]`` instead.
 
+Each target column is solved scaled by 2^-e, e the exponent of its largest
+entry (``np.frexp``), and its coefficients are scaled back by 2^e. A power of
+two scales every product of the solve exactly, short of underflow, so no step
+changes; but the solve's products no longer grow with the target, and a finite
+target fails only when its coefficients overflow float64.
+
 Each ``nnls`` call first tests, once, whether any block can fail that check.
 Every principal block of ``G_u``, the Gram matrix of the usable columns, has
 its eigenvalues between the extreme eigenvalues of ``G_u`` (Cauchy interlacing),
@@ -80,8 +86,6 @@ _BLOCK_ELEMENTS = 2**15
 
 _KKT_EPS = 10.0 * np.finfo(float).eps  # KKT rounding level per unit of scale (module docstring)
 
-_TOO_LARGE = "too large (or not finite) to solve in float64"
-
 
 def _matvec(matrix, rows):
     """``matrix @ r`` for each row r, one matrix-vector product per row."""
@@ -109,8 +113,8 @@ def _inverse_if_no_block_can_fail(gram):
     return inverse if bound <= (_MAX_CHOLESKY_RATIO / 2) ** 2 else None
 
 
-def _solve_free_sets(G, Atb, A, targets, columns, free, check_blocks):
-    """Row r solves row r's free set, for target column ``columns[r]``, and is 0 off it."""
+def _solve_free_sets(G, Atb, A, target, columns, free, check_blocks):
+    """Row r solves row r's free set, for ``target(columns[r])``, and is 0 off it."""
     z = np.zeros(free.shape)
     sizes = free.sum(axis=1)
     for size in sorted(set(sizes.tolist()) - {0}):  # np.unique imports numpy.ma (1.7 MiB)
@@ -121,16 +125,15 @@ def _solve_free_sets(G, Atb, A, targets, columns, free, check_blocks):
         if check_blocks:
             direct = _well_conditioned(blocks)
             for r, support in zip(rows[~direct], F[~direct]):
-                b = targets[:, columns[r]]
-                z[r, support] = np.linalg.lstsq(A[:, support], b, rcond=None)[0]
+                z[r, support] = np.linalg.lstsq(A[:, support], target(columns[r]), rcond=None)[0]
         solved = rows[direct, None]
         rhs = Atb[solved, F[direct]][:, :, None]
         z[solved, F[direct]] = np.linalg.solve(blocks[direct], rhs)[:, :, 0]
     return z
 
 
-def _active_set(A, targets, G, Atb, usable, threshold, max_iter):
-    """Coefficients, iteration counts and KKT flags of the (V, M) ``targets``' columns.
+def _active_set(A, target, G, Atb, usable, threshold, max_iter):
+    """Coefficients, iteration counts and KKT flags of the M columns ``target(column)``.
 
     A row that hits the cap keeps its last iterate: active-set iterates never
     increase the residual (Lawson and Hanson 1974, ch. 23), so it is the best.
@@ -148,7 +151,7 @@ def _active_set(A, targets, G, Atb, usable, threshold, max_iter):
         free[:, usable] = _matvec(inverse, Atb[:, usable]) > 0.0
         rows = live
         while rows.size:
-            x[rows] = _solve_free_sets(G, Atb[rows], A, targets, rows, free[rows], False)
+            x[rows] = _solve_free_sets(G, Atb[rows], A, target, rows, free[rows], False)
             rows = rows[(free[rows] & (x[rows] <= 0.0)).any(axis=1)]
             free[rows] &= x[rows] > 0.0
     w = Atb - _matvec(G, x)
@@ -163,7 +166,7 @@ def _active_set(A, targets, G, Atb, usable, threshold, max_iter):
         iterations[live] += 1
         fs, xs, Atbs = free[live], x[live], Atb[live]
         fs[np.arange(live.size), np.argmax(gains[going], axis=1)] = True
-        z = _solve_free_sets(G, Atbs, A, targets, live, fs, check_blocks)
+        z = _solve_free_sets(G, Atbs, A, target, live, fs, check_blocks)
         # Step back: each pass zeroes a free coordinate, so at most |free|
         # passes. The blocking one is zeroed outright: rounding can leave it a
         # hair above zero, and the same free set would be solved forever.
@@ -180,7 +183,7 @@ def _active_set(A, targets, G, Atb, usable, threshold, max_iter):
             fr &= xr > 0.0
             xr[~fr] = 0.0
             xs[back], fs[back] = xr, fr
-            z[back] = zr = _solve_free_sets(G, Atbs[back], A, targets, live[back], fr, check_blocks)
+            z[back] = zr = _solve_free_sets(G, Atbs[back], A, target, live[back], fr, check_blocks)
             back = back[(fr & (zr <= 0.0)).any(axis=1)]
         x[live], free[live] = z, fs
         w[live] = Atbs - _matvec(G, z)
@@ -200,7 +203,8 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
     that start, which is what ``iterations`` counts. All-zero dictionary
     columns, and columns whose squared norm underflows, get coefficient 0 and
     one warning per kind. Raises ``ValueError`` when ``A^T A`` is not finite,
-    or naming the first column whose ``A^T b`` or entries are not.
+    or naming the first column with an entry that is not finite or with
+    coefficients that overflow.
     """
     A = np.asarray(dictionary, dtype=float)
     b = np.asarray(target, dtype=float)
@@ -212,7 +216,7 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
         G = A.T @ A
     if not np.isfinite(G).all():
-        raise ValueError(f"dictionary {_TOO_LARGE}")
+        raise ValueError("dictionary too large (or not finite) to solve in float64")
     usable, zero = np.diag(G) > 0.0, ~A.any(axis=0)
     if zero.any():
         warnings.warn(f"dictionary has {int(zero.sum())} all-zero column(s)", stacklevel=2)
@@ -222,21 +226,31 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
                       f"{tiny.tolist()}", stacklevel=2)
     scale = _KKT_EPS * max(V, I) * np.abs(A).sum(axis=0).max(initial=0.0)
 
-    Atb, threshold = np.empty((M, I)), np.empty(M)
+    Atb, threshold, exponents = np.empty((M, I)), np.empty(M), np.empty(M, dtype=int)
     width = max(1, _BLOCK_ELEMENTS // max(1, V))
     for start in range(0, M, width):
         block = slice(start, start + width)
         # One contiguous row per target column: BLAS rounds ``A^T b`` differently
         # for strided and contiguous b, and results must not depend on the caller's layout.
         B = np.ascontiguousarray(targets[:, block].T)
-        with np.errstate(over="ignore", invalid="ignore"):  # as for G
-            Atb[block] = _matvec(A.T, B)
-        finite = np.isfinite(Atb[block]).all(axis=1) & np.isfinite(B).all(axis=1)
+        finite = np.isfinite(B).all(axis=1)
         if not finite.all():
             column = block.start + int(np.argmin(finite))
-            raise ValueError(f"sample column {column}: dictionary or target {_TOO_LARGE}")
-        threshold[block] = scale * np.abs(B).max(axis=1, initial=0.0)
-    x, counts, optimal = _active_set(A, targets, G, Atb, usable, threshold, max_iter)
+            raise ValueError(f"sample column {column}: target entry not a finite float64")
+        peaks, exponents[block] = np.frexp(np.abs(B).max(axis=1, initial=0.0))
+        Atb[block] = _matvec(A.T, np.ldexp(B, -exponents[block][:, None]))
+        threshold[block] = scale * peaks
+
+    def scaled_target(column):  # as A^T b saw it, for the least-squares fallback
+        return np.ldexp(targets[:, column], -exponents[column])
+
+    x, counts, optimal = _active_set(A, scaled_target, G, Atb, usable, threshold, max_iter)
+    with np.errstate(over="ignore"):  # the check below names an overflow
+        x = np.ldexp(x, exponents[:, None])
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        column = int(np.argmin(finite))
+        raise ValueError(f"sample column {column}: coefficients too large for float64")
     coefficients = np.ascontiguousarray(x.T) if b.ndim == 2 else x[0]
     return NnlsSolution(coefficients, int(counts.sum()), tuple(np.flatnonzero(~optimal).tolist()))
 

@@ -294,10 +294,12 @@ def test_project_on_data_that_overflows_exits_3(tmp_path, capsys):
     from gsnmf import cli
 
     hyper, groups, result = small_fit(tmp_path, rows=30)
+    result.state.t.beta[...] *= 1e-100  # a dictionary of about 1e-98
     io.save_model(io.ModelArchive.from_fit(hyper, groups, result), tmp_path / "m.gsnm")
     io.save_matrix(np.full((30, 2), 1e308), tmp_path / "big.bin", "binary")
-    # The solve's own check names the column before numpy can warn (the test
-    # configuration turns a numpy warning into an error).
+    # The coefficients overflow, and the solve's own check names the column
+    # before numpy can warn (the test configuration turns a numpy warning into
+    # an error).
     code = cli.main(["project", "--model", str(tmp_path / "m.gsnm"),
                      "--data", str(tmp_path / "big.bin"), "--out", str(tmp_path / "V.csv")])
     assert code == 3
@@ -309,6 +311,7 @@ def test_project_names_an_overflowing_column_of_a_later_block(tmp_path, capsys, 
     from gsnmf import cli, projection
 
     hyper, groups, result = small_fit(tmp_path, rows=30)
+    result.state.t.beta[...] *= 1e-100  # as in the test above
     io.save_model(io.ModelArchive.from_fit(hyper, groups, result), tmp_path / "m.gsnm")
     data = np.ones((30, 5))
     data[:, 3] = 1e308

@@ -151,14 +151,17 @@ def test_nearly_parallel_columns_reach_an_in_cone_target():
 
 
 def test_rejects_targets_that_overflow():
-    # The package's error, with no numpy overflow warning before it.
+    # A target with an entry that is not finite, or whose coefficients
+    # overflow, is named by its column, with no numpy warning before it.
     A = np.array([[1.0, 0.5], [0.2, 1.0], [0.3, 0.3]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="float64"):
-            nnls(A, np.full(3, 1e308))
-        with pytest.raises(ValueError, match="sample column 1"):
-            project_matrix(A, np.column_stack([np.ones(3), np.full(3, 1e308)]))
+        with pytest.raises(ValueError, match="^sample column 0: target .*float64$"):
+            nnls(A, np.array([1.0, np.inf, 1.0]))
+        # Coefficients of about 2.6e308 and 3.8e308.
+        with pytest.raises(ValueError, match="^sample column 1: coefficients .*float64$"):
+            project_matrix(A / 4, np.column_stack([np.ones(3), np.full(3, 1e308)]))
+        assert np.isfinite(nnls(A, np.full(3, 1e308)).coefficients).all()
 
 
 def spy_on_the_block_check(monkeypatch):
@@ -288,9 +291,9 @@ def test_nnls_runs_one_active_set_over_a_wide_target(monkeypatch):
     widths, copies = [], []
     active_set, matvec = projection._active_set, projection._matvec
 
-    def spy(A, targets, *args):
-        widths.append(targets.shape[1])
-        return active_set(A, targets, *args)
+    def spy(A, target, G, Atb, *args):
+        widths.append(Atb.shape[0])
+        return active_set(A, target, G, Atb, *args)
 
     def matvec_spy(matrix, rows):
         if matrix.shape == A.T.shape:  # A^T b of one copy, not a product with G
@@ -337,7 +340,8 @@ def test_a_fallback_solves_its_own_column_when_others_have_finished(monkeypatch)
     # test_ill_conditioned_support_falls_back_to_lstsq's instance at column 3
     # of 5: the others reach their KKT point in at most one iteration, so when
     # column 3's (5, 2) support falls back to lstsq it is the only live row.
-    # The fallback must read column 3's target, not the target at its row.
+    # The fallback must read column 3's target, not the target at its row,
+    # scaled as A^T b saw it: by 2^-3, for its largest entry of about 4.
     a = np.array([2.0, 2.0, 2.0, 2.0, 0.0])
     e = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
     c = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
@@ -356,7 +360,7 @@ def test_a_fallback_solves_its_own_column_when_others_have_finished(monkeypatch)
         solved.clear()
         block = nnls(A, targets)
         assert [shape for shape, _ in solved] == [(5, 2)]
-        assert solved[0][1].tobytes() == b.tobytes()
+        assert solved[0][1].tobytes() == (b / 8).tobytes()
         singles = [nnls(A, targets[:, m]) for m in range(5)]
         iterations = [single.iterations for single in singles]
         assert iterations[:3] + iterations[4:] == [0, 1, 1, 1] and iterations[3] > 1
@@ -654,9 +658,10 @@ def test_gram_form_loses_no_accuracy_on_ill_conditioned_dictionaries(
 
 
 def test_power_of_two_scaling_leaves_the_solve_unchanged():
-    # Scaling A by c and b by d, powers of two, scales every product of the
-    # solve exactly, the KKT threshold included: the same iterations and cap
-    # hits, and coefficients x·d/c to the bit.
+    # Scaling A by 2^p and b by 2^q scales every product of the solve exactly,
+    # the KKT threshold included: the same iterations and cap hits, and
+    # coefficients x·2^(q-p) to the bit. nnls solves each target scaled to a
+    # largest entry below 1, so this holds up to the top of float64's range.
     rng = np.random.default_rng(5)
     for _ in range(300):
         rows, cols, rank = rng.integers(1, [25, 9, 9])
@@ -665,19 +670,21 @@ def test_power_of_two_scaling_leaves_the_solve_unchanged():
             rng.random() < 0.5,
         )
         sol = nnls(A, b)
-        # Then the largest of b, A^T b and x goes just below 2^600 and 2^1000:
-        # finite targets whose squared norm overflows. LAPACK's least squares
-        # rescales a target above about 2^970 by a factor that is not a power
-        # of two, so 2^1000 runs only where no block can take the lstsq fallback.
-        top = np.frexp([abs(b).max(), abs(A.T @ b).max(), abs(sol.coefficients).max()])[1].max()
-        scales = [(2.0**-20, 1.0), (1.0, 2.0**-30), (2.0**15, 2.0**-15), (1.0, 2.0**25),
-                  (1.0, 2.0 ** (600 - top))]
-        if projection._inverse_if_no_block_can_fail(A.T @ A) is not None:
-            scales.append((1.0, 2.0 ** (1000 - top)))
-        for c, d in scales:
-            scaled = nnls(c * A, d * b)
+        top_b, top_x = np.frexp([abs(b).max(), abs(sol.coefficients).max()])[1]
+        top = max(top_b, top_x)
+        # Then the largest of b and x just below 2^600 and 2^1024 (b's squared
+        # norm overflows); the latter with A 2^60 times larger, and with A
+        # scaled so that both b and x reach just below 2^1024.
+        scales = [(-20, 0), (0, -30), (15, -15), (0, 25), (0, 600 - top), (0, 1024 - top),
+                  (60, 1024 - top), (top_x - top_b, 1024 - top_b)]
+        for p, q in scales:
+            scaled = nnls(np.ldexp(A, p), np.ldexp(b, q))
             assert (scaled.iterations, scaled.capped) == (sol.iterations, sol.capped)
-            assert scaled.coefficients.tobytes() == (sol.coefficients * d / c).tobytes()
+            assert scaled.coefficients.tobytes() == np.ldexp(sol.coefficients, q - p).tobytes()
+    # A dictionary column's 1-norm of 1e16 and a target entry of 1e308.
+    A, b = np.array([[1e16, 1.0], [1.0, 1.0]]), np.array([0.0, 1e308])
+    small = nnls(A, np.ldexp(b, -1000))
+    assert nnls(A, b).coefficients.tobytes() == np.ldexp(small.coefficients, 1000).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
