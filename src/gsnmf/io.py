@@ -231,7 +231,10 @@ def load_model(path) -> ModelArchive:
         for name in _STATE_FACTORS:
             alpha, beta = next(state_blocks), next(state_blocks)
             _as_positive_array(beta, "scale")
-            factors[name] = GammaFactor(alpha, beta)
+            with np.errstate(over="ignore"):  # an infinite mean is named below
+                factors[name] = GammaFactor(alpha, beta)
+            if not np.isfinite(factors[name].mean).all():
+                raise ValueError(f"{name} mean alpha*beta overflows float64")
     except ValueError as exc:
         raise FormatError(f"{path}: bad gamma factor block ({exc})") from exc
     state = VariationalState(**factors, **dict(zip(_STATE_MATRICES, state_blocks)))

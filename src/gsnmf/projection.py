@@ -9,14 +9,15 @@ exceeds its rounding level, ``_KKT_EPS``·max(V, I)·max_j ||A[:, j]||_1·||b||_
 raises, or its diagonal spans more than ``_MAX_CHOLESKY_RATIO``, a condition
 number of about 1e8) is solved by least squares on ``A[:, F]`` instead.
 
-Each target column is solved scaled by 2^-e, e the exponent of its largest
-entry (``np.frexp``), and its coefficients are scaled back by 2^e. A power of
-two scales every product of the solve exactly, short of underflow, so no step
-changes; but the solve's products no longer grow with the target, and a finite
-target fails only when its coefficients overflow float64.
+Every dictionary column and every target is scaled by 2^-e, e the exponent of
+its largest |entry| (``np.frexp``), and the coefficients are scaled back by
+2^(e_b - e_j) in one ``np.ldexp``. A power of two scales every product of the
+solve exactly, short of underflow. Scaled, every column peaks in [0.5, 1), so
+one threshold fits every column to within a factor V, ``G`` is at most V, and
+only entries that are not finite, or coefficients that overflow, fail.
 
 Each ``nnls`` call first tests, once, whether any block can fail that check.
-Every principal block of ``G_u``, the Gram matrix of the usable columns, has
+Every principal block of ``G_u``, the Gram matrix of the nonzero columns, has
 its eigenvalues between the extreme eigenvalues of ``G_u`` (Cauchy interlacing),
 and so have the squares of its Cholesky diagonal. So the diagonal ratio of any
 block is at most sqrt(cond(G_u)) <= sqrt(trace(G_u)·||G_u^-1||_F). When that
@@ -196,15 +197,14 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
     ``target`` is a (V,) vector or a (V, M) block whose columns are solved
     together, each with exactly the result it gets alone. A column's KKT
     threshold is derived from it and the dictionary (module docstring). Where
-    the usable columns' Gram matrix proves that no block can fail the Cholesky
+    the nonzero columns' Gram matrix proves that no block can fail the Cholesky
     check, a column starts warm from the positive entries of its unconstrained
     solution, pruned in at most I rounds; else from an empty free set.
     ``max_iter`` (default 3·I) caps, per column, the coordinates freed after
     that start, which is what ``iterations`` counts. All-zero dictionary
-    columns, and columns whose squared norm underflows, get coefficient 0 and
-    one warning per kind. Raises ``ValueError`` when ``A^T A`` is not finite,
-    or naming the first column with an entry that is not finite or with
-    coefficients that overflow.
+    columns get coefficient 0 and one warning. Raises ``ValueError`` if a
+    dictionary entry is not finite, or naming the first column with a target
+    entry that is not finite or with coefficients that overflow.
     """
     A = np.asarray(dictionary, dtype=float)
     b = np.asarray(target, dtype=float)
@@ -213,17 +213,13 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
     targets = b if b.ndim == 2 else b[:, None]
     (V, I), M = A.shape, targets.shape[1]
     max_iter = 3 * I if max_iter is None else max_iter
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
-        G = A.T @ A
-    if not np.isfinite(G).all():
-        raise ValueError("dictionary too large (or not finite) to solve in float64")
-    usable, zero = np.diag(G) > 0.0, ~A.any(axis=0)
-    if zero.any():
-        warnings.warn(f"dictionary has {int(zero.sum())} all-zero column(s)", stacklevel=2)
-    tiny = np.flatnonzero(~usable & ~zero)
-    if tiny.size:
-        warnings.warn(f"dictionary has {tiny.size} column(s) too small to use in float64: "
-                      f"{tiny.tolist()}", stacklevel=2)
+    if not np.isfinite(A).all():
+        raise ValueError("dictionary entry not a finite float64")
+    column_exponents = np.frexp(np.abs(A).max(axis=0, initial=0.0))[1]
+    A = np.ldexp(A, -column_exponents)
+    G, usable = A.T @ A, A.any(axis=0)
+    if not usable.all():
+        warnings.warn(f"dictionary has {int(I - usable.sum())} all-zero column(s)", stacklevel=2)
     scale = _KKT_EPS * max(V, I) * np.abs(A).sum(axis=0).max(initial=0.0)
 
     Atb, threshold, exponents = np.empty((M, I)), np.empty(M), np.empty(M, dtype=int)
@@ -246,7 +242,7 @@ def nnls(dictionary, target, max_iter: int | None = None) -> NnlsSolution:
 
     x, counts, optimal = _active_set(A, scaled_target, G, Atb, usable, threshold, max_iter)
     with np.errstate(over="ignore"):  # the check below names an overflow
-        x = np.ldexp(x, exponents[:, None])
+        x = np.ldexp(x, exponents[:, None] - column_exponents)
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         column = int(np.argmin(finite))

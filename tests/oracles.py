@@ -113,7 +113,8 @@ def column_loop_nnls(A: np.ndarray, b: np.ndarray, max_iter=None):
 
     The arithmetic of ``gsnmf.projection.nnls`` on a single target, one
     numpy call per step, so a lockstep block solve can be checked against it
-    bit for bit, including its KKT threshold, multiplied in the same order:
+    bit for bit: its scaling of each column by a power of two to a largest
+    |entry| in [0.5, 1), its KKT threshold, multiplied in the same order,
     10·eps·max(V, I)·max_j ||A[:, j]||_1·||b||_inf, and its warm start where
     the Gram matrix proves that no block can fail. It always runs the
     per-block Cholesky check, so it is the reference for the solves that
@@ -124,6 +125,8 @@ def column_loop_nnls(A: np.ndarray, b: np.ndarray, max_iter=None):
     """
     b = np.ascontiguousarray(b)
     n = A.shape[1]
+    column_exponents = np.frexp(np.abs(A).max(axis=0, initial=0.0))[1]
+    unscaled, A = A, np.ldexp(A, -column_exponents)
     max_iter = 3 * n if max_iter is None else max_iter
     G, Atb = A.T @ A, A.T @ b
     column_norm = np.abs(A).sum(axis=0).max(initial=0.0)
@@ -146,10 +149,10 @@ def column_loop_nnls(A: np.ndarray, b: np.ndarray, max_iter=None):
         return z
 
     # nnls's once-per-call test: no free set's Gram block can fail the check
-    # when trace(G_u)·||G_u^-1||_F <= (1e4 / 2)**2 for the usable columns' G_u.
+    # when trace(G_u)·||G_u^-1||_F <= (1e4 / 2)**2 for the nonzero columns' G_u.
     # Then each target starts from the positive entries of G_u^-1 (A^T b)_u,
     # dropping every free coordinate whose solution is <= 0 until none is.
-    usable = np.diag(G) > 0.0
+    usable = A.any(axis=0)
     G_u = G[usable][:, usable]
     x, free = np.zeros(n), np.zeros(n, dtype=bool)
     try:
@@ -194,7 +197,8 @@ def column_loop_nnls(A: np.ndarray, b: np.ndarray, max_iter=None):
         w = Atb - G @ x
     if not optimal:
         x = best_x
-    return x, float(np.linalg.norm(b - A @ x)), iterations, optimal
+    x = np.ldexp(x, -column_exponents)
+    return x, float(np.linalg.norm(b - unscaled @ x)), iterations, optimal
 
 
 def random_two_column_instance(rng: np.random.Generator, max_cosine: float = 0.85):

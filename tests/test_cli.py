@@ -261,6 +261,18 @@ def test_project_on_a_zero_scale_archive_exits_3(tmp_path):
     assert not (tmp_path / "V.csv").exists()
 
 
+def test_project_on_an_archive_whose_gamma_mean_overflows_exits_3_naming_it(tmp_path):
+    # alpha and beta are finite and positive, but their product is not.
+    hyper, groups, result = small_fit(tmp_path)
+    result.state.t.alpha[0, 0] = result.state.t.beta[0, 0] = 1e200
+    io.save_model(io.ModelArchive.from_fit(hyper, groups, result), tmp_path / "m.gsnm")
+    r = run_cli(["project", "--model", "m.gsnm", "--data", "X.bin", "--out", "V.csv"], tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert r.stderr == ("gsnmf project: m.gsnm: bad gamma factor block "
+                        "(t mean alpha*beta overflows float64)\n")
+    assert not (tmp_path / "V.csv").exists()
+
+
 def test_project_on_an_archive_with_a_bad_prior_exits_3_naming_it(tmp_path):
     hyper, groups, result = small_fit(tmp_path)
     hyper.A_t[0, 0] = -1.0

@@ -94,14 +94,13 @@ def test_zero_columns_are_dropped_with_warning():
 
 
 def test_a_column_whose_squared_norm_underflows_is_not_called_all_zero():
-    # 1e-170 squared underflows to 0, so the column cannot be used, but it is not zero.
+    # 1e-170 squared underflows to 0, but the column is solved at its own
+    # scale (a largest entry in [0.5, 1)), so it is used, with no warning.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         coeffs = project_matrix([[1e-170, 1.0], [0.0, 1.0], [0.0, 0.5]], [[1e-170], [0.0], [0.0]])
-    assert [str(w.message) for w in caught] == [
-        "dictionary has 1 column(s) too small to use in float64: [0]"
-    ]
-    assert coeffs[0, 0] == 0.0
+    assert caught == []
+    assert coeffs[:, 0].tolist() == [1.0, 0.0]
 
 
 def test_iteration_cap_returns_flagged_best_iterate():
@@ -231,6 +230,13 @@ def test_support_matches_scipy_on_well_conditioned_instances():
         b = rng.normal(size=A.shape[0]) if rng.random() < 0.5 else rng.random(A.shape[0]) * 3.0
         sol = nnls(A, b)
         np.testing.assert_array_equal(sol.coefficients > 0.0, scipy.optimize.nnls(A, b)[0] > 0.0)
+    # Columns of very different scale are well conditioned once each is
+    # scaled to its own largest entry: the large one no longer hides the
+    # small one's gradient (1 against a threshold of about 44 unscaled).
+    A, b = np.array([[1e16, 1.0], [1.0, 1.0]]), np.array([0.0, 1.0])
+    sol = nnls(A, b)
+    assert sol.optimal and sol.coefficients.tolist() == [0.0, 0.5]
+    np.testing.assert_allclose(sol.coefficients, scipy.optimize.nnls(A, b)[0], rtol=1e-15)
 
 
 def test_project_matrix_recovers_dictionary_columns():
@@ -271,12 +277,22 @@ def test_project_matrix_names_a_bad_column_in_a_later_block(monkeypatch):
 
 
 def test_an_overflowing_dictionary_is_named_without_a_column():
-    # Every target is finite; only A^T A overflows, and numpy does not warn.
+    # A^T A of the unscaled dictionary would overflow; scaled column by
+    # column it does not, and the targets are solved at scipy's residual. An
+    # entry that is not finite is named as the dictionary's, not a column's,
+    # and numpy does not warn.
     A = np.array([[1e200, 1.0], [1.0, 1.0], [0.5, 2.0]])
+    S = np.random.default_rng(3).random((3, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="^dictionary too large .*float64$"):
-            project_matrix(A, np.ones((3, 4)))
+        coeffs = project_matrix(A, S)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="^dictionary entry not a finite float64$"):
+                project_matrix(np.where(A == 0.5, bad, A), S)
+    for m in range(S.shape[1]):
+        reference = scipy.optimize.nnls(A, S[:, m])[1]
+        residual = np.linalg.norm(S[:, m] - A @ coeffs[:, m])
+        assert residual == pytest.approx(reference, rel=1e-12)
 
 
 def test_nnls_runs_one_active_set_over_a_wide_target(monkeypatch):
@@ -495,17 +511,19 @@ def test_no_block_of_a_gram_matrix_that_passes_the_once_per_call_test_fails_the_
         ([[2.0, 0.0], [1.0, 0.0]], [[1.0, -1.0], [3.0, 0.5]],
          ["dictionary has 1 all-zero column(s)"], False),
         ([[1e-170, 1.0], [0.0, 1.0], [0.0, 0.5]], [[1e-170, 1.0], [0.0, 2.0], [0.0, 0.5]],
-         ["dictionary has 1 column(s) too small to use in float64: [0]"], False),
-        ([[1e154, 0.0], [0.0, 1e154]], [[1.0], [2.0]], [], True),
-        ([[1e-160, 1.0], [0.0, 1.0]], [[1e-160], [0.5]], [], True),
+         [], False),
+        ([[1e154, 0.0], [0.0, 1e154]], [[1.0], [2.0]], [], False),
+        ([[1e-160, 1.0], [0.0, 1.0]], [[1e-160], [0.5]], [], False),
     ],
     ids=["no-dictionary-columns", "no-targets", "all-zero", "one-usable-column", "underflow",
          "trace-overflows", "inverse-overflows"],
 )
 def test_edge_shapes_pass_the_once_per_call_test(monkeypatch, A, S, warned, checked):
-    # An empty or 1x1 Gram matrix of usable columns neither raises nor needs a
-    # per-block check. One whose trace or inverse overflows keeps the check,
-    # with no numpy warning. The solution is the column loop's.
+    # An empty or 1x1 Gram matrix of nonzero columns neither raises nor needs
+    # a per-block check. Neither does one whose trace or inverse would
+    # overflow unscaled, or whose squared column norm would underflow: each
+    # column is scaled to a largest entry in [0.5, 1). No numpy warning; the
+    # solution is the column loop's.
     A, S = np.array(A, dtype=float), np.array(S, dtype=float)
     checks = spy_on_the_block_check(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
@@ -570,6 +588,8 @@ def test_project_matrix_silences_only_the_per_column_zero_warning(monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @example(rows=3, base=3, copies=[], samples=5, seed=1672691)
+@example(rows=3, base=3, copies=["duplicate", "scaled", "duplicate"], samples=2, seed=258496)
+@example(rows=3, base=4, copies=["scaled"], samples=6, seed=1064612689)
 @given(
     rows=st.integers(min_value=1, max_value=12),
     base=st.integers(min_value=1, max_value=4),
@@ -580,9 +600,12 @@ def test_project_matrix_silences_only_the_per_column_zero_warning(monkeypatch):
 def test_project_matrix_on_degenerate_dictionaries(rows, base, copies, samples, seed):
     # Rank-deficient dictionaries (repeated or rescaled columns) and all-zero
     # columns, shuffled; targets mix in-cone combinations with arbitrary vectors.
-    # The example, a 3x3 dictionary of condition number 1.2e4, needs a KKT
-    # threshold at its own scale: an absolute 1e-8 leaves an in-cone target
-    # 2.7e-5 short of scipy's residual.
+    # The first example, a 3x3 dictionary of condition number 1.2e4, needs a
+    # KKT threshold at its own scale: an absolute 1e-8 leaves an in-cone
+    # target 2.7e-5 short of scipy's residual. The second and third have one
+    # column several hundred times larger than the rest: a threshold from
+    # the largest column left the second's in-cone target 7.4e-6 short of
+    # scipy's residual, and a threshold per column capped one of the third's.
     rng = np.random.default_rng(seed)
     columns = list(rng.random((base, rows)) + 0.05)
     for kind in copies:
@@ -660,9 +683,11 @@ def test_gram_form_loses_no_accuracy_on_ill_conditioned_dictionaries(
 def test_power_of_two_scaling_leaves_the_solve_unchanged():
     # Scaling A by 2^p and b by 2^q scales every product of the solve exactly,
     # the KKT threshold included: the same iterations and cap hits, and
-    # coefficients x·2^(q-p) to the bit. nnls solves each target scaled to a
-    # largest entry below 1, so this holds up to the top of float64's range.
-    rng = np.random.default_rng(5)
+    # coefficients x·2^(q-p) to the bit. nnls solves each column of A and each
+    # target scaled to a largest entry in [0.5, 1), so this holds up to the
+    # top of float64's range, and also when each column j of A is scaled by
+    # its own 2^p_j, which gives coefficients x_j·2^-p_j.
+    rng, column_rng = np.random.default_rng(5), np.random.default_rng(6)
     for _ in range(300):
         rows, cols, rank = rng.integers(1, [25, 9, 9])
         A, b = ill_conditioned_instance(
@@ -681,6 +706,10 @@ def test_power_of_two_scaling_leaves_the_solve_unchanged():
             scaled = nnls(np.ldexp(A, p), np.ldexp(b, q))
             assert (scaled.iterations, scaled.capped) == (sol.iterations, sol.capped)
             assert scaled.coefficients.tobytes() == np.ldexp(sol.coefficients, q - p).tobytes()
+        p = column_rng.integers(-40, 41, A.shape[1])
+        scaled = nnls(np.ldexp(A, p), b)
+        assert (scaled.iterations, scaled.capped) == (sol.iterations, sol.capped)
+        assert scaled.coefficients.tobytes() == np.ldexp(sol.coefficients, -p).tobytes()
     # A dictionary column's 1-norm of 1e16 and a target entry of 1e308.
     A, b = np.array([[1e16, 1.0], [1.0, 1.0]]), np.array([0.0, 1e308])
     small = nnls(A, np.ldexp(b, -1000))
